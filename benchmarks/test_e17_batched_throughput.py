@@ -8,8 +8,9 @@ than the scalar dense plane under the ``fast`` profile while staying
 bit-identical per trial (outputs, rounds, ledger totals).
 
 The runtime half replays the same cell through :func:`run_jobs` with
-``batch=B`` and asserts the coalescing path: one ``simulate_batch``
-dispatch, B scalar records out, one topology compilation.
+``RunConfig(sim_batch=B)`` and asserts the coalescing path: one
+``simulate_batch`` dispatch, B scalar records out, one topology
+compilation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from repro.congest import (
     topology_stats,
 )
 from repro.congest.programs import BroadcastStormProgram
-from repro.runtime import JobSpec, ResultCache, SerialBackend, run_jobs
+from repro.runtime import (
+    JobSpec,
+    ResultCache,
+    RunConfig,
+    SerialBackend,
+    run_jobs,
+)
 import pytest
 
 N = 200 if quick_mode() else 500
@@ -129,7 +136,10 @@ def batched_table():
         for trial in range(8)
     ]
     batch = run_jobs(
-        specs, backend=SerialBackend(), cache=ResultCache(), batch=8
+        specs,
+        backend=SerialBackend(),
+        cache=ResultCache(),
+        config=RunConfig(sim_batch=8),
     )
     compiled = topology_stats().compiled
     table.add_row(

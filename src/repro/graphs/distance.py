@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import networkx as nx
 
 from ..planarity import check_planarity
-from .utils import girth
+from .utils import girth_through
 
 
 # -- planarity -----------------------------------------------------------------
@@ -34,15 +34,13 @@ def planarity_skewness_lower_bound(graph: nx.Graph, use_girth: bool = True) -> i
     """
     total = 0
     for component in nx.connected_components(graph):
-        sub = graph.subgraph(component)
-        n, m = sub.number_of_nodes(), sub.number_of_edges()
+        n = len(component)
         if n < 3:
             continue
+        m = sum(d for _, d in graph.degree(component)) // 2
         budget = 3 * n - 6
         if use_girth and m > 0:
-            g = girth(sub, upper_bound=3)
-            if g != 3 and g != float("inf"):
-                g = girth(sub)  # exact girth needed for the tighter budget
+            g = girth_through(graph.adj, component)
             if g != float("inf") and g > 3:
                 budget = min(budget, int(g * (n - 2) // (g - 2)))
         total += max(0, m - budget)

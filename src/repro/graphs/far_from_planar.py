@@ -19,7 +19,7 @@ import networkx as nx
 
 from ..errors import GraphInputError
 from .distance import planarity_farness_lower_bound
-from .generators import random_apollonian
+from .generators import gnp_random_graph, random_apollonian
 
 
 def _connect(graph: nx.Graph, rng: random.Random) -> None:
@@ -43,7 +43,7 @@ def gnp_far(
     if n < 8:
         raise GraphInputError("gnp_far needs n >= 8")
     rng = random.Random(seed)
-    graph = nx.gnp_random_graph(n, average_degree / n, seed=rng.randrange(2**31))
+    graph = gnp_random_graph(n, average_degree / n, seed=rng.randrange(2**31))
     _connect(graph, rng)
     return graph, planarity_farness_lower_bound(graph)
 

@@ -94,30 +94,76 @@ def random_planar(
     graph = random_apollonian(n, seed=rng.randrange(2**31))
     edges = list(graph.edges())
     rng.shuffle(edges)
+    m = graph.number_of_edges()
     for u, v in edges:
-        if graph.number_of_edges() <= target_m:
+        if m <= target_m:
             break
         graph.remove_edge(u, v)
         # Keep the graph connected: re-add bridges.
-        if not _still_connected_locally(graph, u, v):
+        if _still_connected(graph.adj, u, v):
+            m -= 1
+        else:
             graph.add_edge(u, v)
     return graph
 
 
-def _still_connected_locally(graph: nx.Graph, u, v) -> bool:
-    """True if u and v remain connected after removing edge (u, v)."""
-    # BFS from u until v found (early exit keeps deletion loop fast).
-    seen = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in graph.adj[x]:
-            if y == v:
-                return True
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+def _still_connected(adj, u, v) -> bool:
+    """True if *u* and *v* are joined by a path in *adj*.
+
+    Bidirectional BFS, always growing the smaller frontier: a deleted
+    planar edge almost always has a short detour, which this finds
+    after touching only the few nodes around it.
+    """
+    seen_u, seen_v = {u}, {v}
+    front_u, front_v = [u], [v]
+    while front_u and front_v:
+        if len(front_u) > len(front_v):
+            front_u, front_v = front_v, front_u
+            seen_u, seen_v = seen_v, seen_u
+        grown = []
+        for x in front_u:
+            for y in adj[x]:
+                if y in seen_v:
+                    return True
+                if y not in seen_u:
+                    seen_u.add(y)
+                    grown.append(y)
+        front_u = grown
     return False
+
+
+def gnp_random_graph(n: int, p: float, seed: int) -> nx.Graph:
+    """The graph ``nx.gnp_random_graph(n, p, seed=seed)`` builds, via numpy.
+
+    networkx draws one ``random.Random(seed).random()`` per pair in
+    ``combinations(range(n), 2)`` order, and each draw is built from two
+    MT19937 words ``a, b`` as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
+    Loading the same Mersenne Twister state into numpy reproduces those
+    words, so each row ``i`` compares its ``2 (n - 1 - i)`` words against
+    ``p`` at once and adds the hits in the same order, so the graph and
+    its adjacency order match networkx exactly.  Rows are drawn one at a
+    time so the temporaries stay O(n); the all-pairs draw would allocate
+    O(n^2) words.
+    """
+    if p >= 1:
+        return nx.complete_graph(n)
+    graph = nx.empty_graph(n)
+    if p <= 0:
+        return graph
+    import numpy as np
+
+    state = random.Random(seed).getstate()[1]
+    bits = np.random.MT19937()
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+    }
+    for i in range(n - 1):
+        words = bits.random_raw(2 * (n - 1 - i))
+        draws = (words[0::2] >> 5) * 67108864 + (words[1::2] >> 6)
+        hits = np.flatnonzero(draws * (1.0 / 9007199254740992.0) < p)
+        graph.add_edges_from((i, j) for j in (hits + (i + 1)).tolist())
+    return graph
 
 
 def delaunay_graph(n: int, seed: Optional[int] = None) -> nx.Graph:

@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Set
 
 import networkx as nx
 
 from ..errors import GraphInputError
 from .distance import planarity_farness_lower_bound
-from .utils import bfs_levels, find_short_cycle, girth
+from .generators import gnp_random_graph
+from .utils import _short_cycle_from, girth
 
 
 @dataclass
@@ -85,7 +86,7 @@ def lower_bound_instance(
     if target_girth is None:
         target_girth = max(4, int(math.log2(n) / 2))
     rng = random.Random(seed)
-    graph = nx.gnp_random_graph(n, average_degree / n, seed=rng.randrange(2**31))
+    graph = gnp_random_graph(n, average_degree / n, seed=rng.randrange(2**31))
     removed = _girth_surgery(graph, target_girth, rng)
     final_girth = girth(graph)
     return LowerBoundInstance(
@@ -98,16 +99,43 @@ def lower_bound_instance(
 
 
 def _girth_surgery(graph: nx.Graph, target_girth: int, rng: random.Random) -> int:
-    """Remove one random edge from every cycle shorter than *target_girth*."""
+    """Remove one random edge from every cycle shorter than *target_girth*.
+
+    Removes exactly the edges that restarting :func:`find_short_cycle`
+    from the first node after every removal would, without rescanning
+    the sources already found clean.  A source's search only reads the
+    adjacency of nodes closer to it than the search depth, so removing
+    ``(u, v)`` can change its outcome only when ``u`` or ``v`` is that
+    close.  Sources are searched in node order; after a removal, the
+    earlier sources that close to ``u`` or ``v`` are searched again, in
+    node order, before the search moves past the current source.
+    """
+    max_length = target_girth - 1
+    if max_length < 3:
+        return 0
+    limit = (max_length + 1) // 2
+    adj = graph.adj
+    order = list(graph.nodes())
+    position = {v: k for k, v in enumerate(order)}
+    pending = set()  # positions below `frontier` to search again
+    frontier = 0
     removed = 0
-    while True:
-        cycle = find_short_cycle(graph, target_girth - 1)
+    while pending or frontier < len(order):
+        k = min(pending) if pending else frontier
+        cycle = _short_cycle_from(adj, order[k], limit, max_length)
         if cycle is None:
-            return removed
+            if pending:
+                pending.remove(k)
+            else:
+                frontier += 1
+            continue
         index = rng.randrange(len(cycle))
         u, v = cycle[index], cycle[(index + 1) % len(cycle)]
         graph.remove_edge(u, v)
         removed += 1
+        near = (position[w] for w in _ball(adj, (u, v), limit - 1))
+        pending.update(j for j in near if j < frontier)
+    return removed
 
 
 def view_is_tree(graph: nx.Graph, node, radius: int) -> bool:
@@ -118,13 +146,32 @@ def view_is_tree(graph: nx.Graph, node, radius: int) -> bool:
     at a node is a function of its radius-``r`` view; if that view is a
     tree it also occurs in some forest, and on forests (which are planar)
     a one-sided tester must accept.
+
+    The BFS stops at depth *radius*.  A BFS ball is connected, so it is
+    a tree exactly when it induces ``|ball| - 1`` edges.
     """
-    depths = bfs_levels(graph.adj, node)
-    ball = {v for v, d in depths.items() if d <= radius}
-    sub = graph.subgraph(ball)
-    return sub.number_of_edges() == (
-        sub.number_of_nodes() - nx.number_connected_components(sub)
-    )
+    adj = graph.adj
+    ball = _ball(adj, (node,), radius)
+    # Every induced edge is seen once from each end.
+    ends = sum(1 for v in ball for w in adj[v] if w in ball)
+    return ends == 2 * (len(ball) - 1)
+
+
+def _ball(adj, sources: Iterable, radius: int) -> Set:
+    """Every node within *radius* hops of one of *sources*."""
+    ball = set(sources)
+    frontier = list(ball)
+    for _ in range(radius):
+        grown = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in ball:
+                    ball.add(w)
+                    grown.append(w)
+        if not grown:
+            break
+        frontier = grown
+    return ball
 
 
 def all_views_are_trees(graph: nx.Graph, radius: int) -> bool:

@@ -183,10 +183,19 @@ def girth(graph: nx.Graph, upper_bound: Optional[int] = None) -> float:
     BFS from every node; ``upper_bound`` (when given) allows early exit as
     soon as a cycle of at most that length is found.
     """
+    return girth_through(graph.adj, graph.nodes(), upper_bound)
+
+
+def girth_through(
+    adj, sources: Iterable[Any], upper_bound: Optional[int] = None
+) -> float:
+    """:func:`girth` with BFS from *sources* only, over *adj*.
+
+    When *sources* are every node of some components, this is the girth
+    of those components, read straight off the whole graph's adjacency.
+    """
     best = math.inf
-    adj = graph.adj
-    n = graph.number_of_nodes()
-    for source in graph.nodes():
+    for source in sources:
         best_here = _shortest_cycle_through(adj, source, best)
         best = min(best, best_here)
         if upper_bound is not None and best <= upper_bound:

@@ -18,6 +18,7 @@ from repro.runtime import (
     CostBook,
     JobSpec,
     ResultCache,
+    RunConfig,
     batchable,
     coalesce,
     make_batch_spec,
@@ -114,14 +115,14 @@ def test_batch_record_expands_to_scalar_records():
 
 def test_run_jobs_batched_matches_unbatched():
     base = run_jobs(FLEET)
-    batched = run_jobs(FLEET, batch=4)
+    batched = run_jobs(FLEET, config=RunConfig(sim_batch=4))
     assert batched.records == base.records
     assert batched.executed == base.executed == len(FLEET)
 
 
 def test_run_jobs_batched_with_cache_then_scalar_rerun(tmp_path):
     cache = ResultCache(disk_dir=tmp_path / "store")
-    first = run_jobs(FLEET, cache=cache, batch=8)
+    first = run_jobs(FLEET, cache=cache, config=RunConfig(sim_batch=8))
     assert first.cache_stats.misses == len(FLEET)
     assert first.cache_stats.stores == len(FLEET)
     # A later *unbatched* run replays entirely from the per-trial cache.
@@ -132,7 +133,7 @@ def test_run_jobs_batched_with_cache_then_scalar_rerun(tmp_path):
 
 def test_cost_book_gets_amortized_per_trial_samples():
     book = CostBook()
-    run_jobs(FLEET, cost_book=book, batch=8)
+    run_jobs(FLEET, cost_book=book, config=RunConfig(sim_batch=8))
     count, total = book._pending[("simulate_program", 30)]
     assert count == len(FLEET)
     assert total > 0
@@ -141,7 +142,9 @@ def test_cost_book_gets_amortized_per_trial_samples():
 
 def test_process_backend_ships_batches():
     base = run_jobs(FLEET)
-    batched = run_jobs(FLEET, backend="process", batch=3)
+    batched = run_jobs(
+        FLEET, backend="process", config=RunConfig(sim_batch=3)
+    )
     assert batched.records == base.records
 
 
@@ -152,7 +155,7 @@ def test_async_backend_ships_batches(tmp_path):
         FLEET,
         backend=AsyncBackend(max_workers=2, store_dir=str(tmp_path / "store")),
         cache=cache,
-        batch=3,
+        config=RunConfig(sim_batch=3),
     )
     assert batched.records == base.records
     # The expanded per-trial records landed in the cache despite the
@@ -181,7 +184,7 @@ def test_run_sweep_batched_matches_unbatched():
         storm_rounds=[4],
     )
     base = run_sweep(sweep)
-    batched = run_sweep(sweep, batch=4)
+    batched = run_sweep(sweep, config=RunConfig(sim_batch=4))
     assert batched.records == base.records
     assert batched.summary()["jobs"] == base.summary()["jobs"]
 
@@ -224,7 +227,7 @@ def test_resolve_batch_tolerates_auto(monkeypatch):
 
 
 def test_run_sweep_auto_batch_matches_unbatched(tmp_path):
-    """``batch="auto"``: first run seeds the cost table, second run
+    """``sim_batch="auto"``: first run seeds the cost table, second run
     sizes batches from it -- records identical to scalar runs and the
     resume is a 100% hit (auto sizing cannot perturb cache keys)."""
     sweep = SweepSpec.make(
@@ -237,11 +240,15 @@ def test_run_sweep_auto_batch_matches_unbatched(tmp_path):
     )
     base = run_sweep(sweep)
     cache = ResultCache(disk_dir=tmp_path / "store")
-    first = run_sweep(sweep, cache=cache, batch="auto")
+    first = run_sweep(
+        sweep, cache=cache, config=RunConfig(sim_batch="auto")
+    )
     assert first.records == base.records
     assert first.batch.executed == len(first.records)
     cache2 = ResultCache(disk_dir=tmp_path / "store")
-    second = run_sweep(sweep, cache=cache2, batch="auto", resume=True)
+    second = run_sweep(
+        sweep, cache=cache2, config=RunConfig(sim_batch="auto"), resume=True
+    )
     assert second.records == base.records
     assert second.batch.executed == 0
 
@@ -321,7 +328,9 @@ def test_run_sweep_batch_waste_exports_and_restores_env(monkeypatch):
         profile=["fast"],
     )
     base = run_sweep(sweep)
-    bounded = run_sweep(sweep, batch=4, batch_waste=1.5)
+    bounded = run_sweep(
+        sweep, config=RunConfig(sim_batch=4, sim_batch_waste=1.5)
+    )
     assert bounded.records == base.records
     # The flag was exported only for the sweep's duration.
     assert os.environ[WASTE_ENV_VAR] == "3.0"
