@@ -2,7 +2,7 @@
 # Telemetry smoke: run a quick grid over the remote backend with
 # --trace under two workers, kill one mid-run, and require (1) the
 # merged trace directory passes schema validation with the sweep/job
-# spans and remote connect events present and every cross-process
+# spans and worker connect events present and every cross-process
 # parent link resolved, (2) `trace top` / `trace view` read it, and
 # (3) the Chrome trace_event export is valid viewer input.
 #
@@ -46,7 +46,7 @@ tail -3 "$WORK/sweep.out"
 echo "== merged trace must validate (schema, unique ids, parent links)"
 python "$SCRIPTS/validate_trace.py" "$WORK/trace" \
   --require-span sweep --require-span job \
-  --require-event remote.connect
+  --require-event service.worker_connect
 
 echo "== trace CLI reads the directory"
 "${CLI[@]}" trace top "$WORK/trace" --name job

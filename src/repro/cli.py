@@ -387,9 +387,12 @@ def _cmd_sweep(args) -> int:
         config=_run_config_from_args(args),
     )
     shard_label = f" [shard {shard[0]}/{shard[1]}]" if shard else ""
+    # Sorted columns, as in ``submit``: codec-decoded records (store
+    # hits, fleet results) order their fields differently from records
+    # built in-process, and the markdown must not depend on the route.
     table = result.to_table(
         f"sweep: {args.kind} over {len(result.records)} jobs{shard_label}",
-        columns=None,
+        columns=sorted({key for record in result.records for key in record}),
     )
     table.print()
     summary = result.summary()

@@ -79,7 +79,6 @@ from .config import RunConfig
 from .remote import (
     PROTOCOL_VERSION,
     RemoteBackend,
-    RemoteProtocolError,
     RemoteWorkerError,
 )
 from .scheduler import CostBook, CostModel, SpeculationPolicy, assign_shards
@@ -171,7 +170,6 @@ _INTERNAL_API = [
     "PROTOCOL_VERSION",
     "ProcessPoolBackend",
     "RemoteBackend",
-    "RemoteProtocolError",
     "RemoteWorkerError",
     "SerialBackend",
     "ShapeRegistry",

@@ -1,7 +1,8 @@
 """Coalescing simulator trials into graph-batched ``simulate_batch`` jobs.
 
 A sweep cell expands into many ``simulate_program`` specs that differ
-only in ``seed``.  When batching is enabled (``run_sweep(batch=B)``,
+only in ``seed``.  When batching is enabled
+(``run_sweep(sweep, config=RunConfig(sim_batch=B))``,
 ``repro-planarity sweep --batch B``, or ``REPRO_SIM_BATCH``), the
 executor routes its miss list through :func:`coalesce`, which folds
 each group of same-``(graph, n, config)`` trials into one

@@ -27,9 +27,7 @@ field                  environment variable        default
 =====================  ==========================  =================
 
 ``run_jobs(..., config=...)`` / ``run_sweep(..., config=...)`` accept
-a config directly; the older per-knob keyword arguments (``batch``,
-``batch_waste``) still work but emit :class:`DeprecationWarning` --
-new code should write::
+a config directly::
 
     from repro.runtime import RunConfig, run_sweep
 
@@ -161,13 +159,3 @@ class RunConfig:
                     os.environ.pop(env_var, None)
                 else:
                     os.environ[env_var] = old
-
-
-def warn_deprecated_kwarg(api: str, kwarg: str, replacement: str) -> None:
-    """One consistent deprecation message for the pre-RunConfig kwargs."""
-    warnings.warn(
-        f"{api}({kwarg}=...) is deprecated; pass "
-        f"config=RunConfig({replacement}=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -41,7 +41,7 @@ from ..telemetry.spans import telemetry_enabled
 from .async_backend import AsyncBackend
 from .batching import coalesce, expand_batch_record
 from .cache import CacheStats, KeyDeriver, ResultCache
-from .config import RunConfig, warn_deprecated_kwarg
+from .config import RunConfig
 from .jobs import JobSpec, Record, run_job, run_job_timed, spec_needs_graph
 from .remote import RemoteBackend
 
@@ -446,7 +446,6 @@ def run_jobs(
     backend=None,
     cache: Optional[ResultCache] = None,
     cost_book=None,
-    batch: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> BatchResult:
     """Execute *specs*, serving repeats from *cache*.
@@ -459,9 +458,6 @@ def run_jobs(
             spec executes).
         cost_book: optional :class:`~repro.runtime.scheduler.CostBook`
             collecting per-job wall-times (see :func:`iter_jobs`).
-        batch: deprecated -- pass ``config=RunConfig(sim_batch=...)``
-            instead.  Still honored (it wins over *config*) but emits a
-            :class:`DeprecationWarning`.
         config: optional :class:`~repro.runtime.config.RunConfig`
             supplying the ``sim_batch`` coalescing limit (arg > env >
             default; see :func:`iter_jobs`).
@@ -469,10 +465,7 @@ def run_jobs(
     Returns:
         A :class:`BatchResult` with one record per spec, in input order.
     """
-    if batch is not None:
-        warn_deprecated_kwarg("run_jobs", "batch", "sim_batch")
-    elif config is not None:
-        batch = config.resolve("sim_batch")
+    batch = config.resolve("sim_batch") if config is not None else None
     return _run_jobs(
         specs, backend=backend, cache=cache, cost_book=cost_book,
         batch=batch,
@@ -486,7 +479,8 @@ def _run_jobs(
     cost_book=None,
     batch: Optional[int] = None,
 ) -> BatchResult:
-    """Warning-free core of :func:`run_jobs` (internal callers)."""
+    """:func:`run_jobs` with an already-resolved coalescing limit
+    (``run_sweep`` sizes ``"auto"`` batches before calling it)."""
     if backend is None:
         backend = SerialBackend()
     elif isinstance(backend, str):

@@ -1,12 +1,13 @@
-"""Remote socket backend: the worker protocol lifted onto TCP.
+"""TCP fleet plumbing: the worker wire protocol and ``--backend remote``.
 
-The async backend's JSON-lines worker protocol is transport-agnostic;
-this module serves it over sockets so workers can live in other
-processes, containers, or machines.  The orchestrator side is
-:class:`RemoteBackend` -- an asyncio TCP server that plugs into
-``run_jobs``/``iter_jobs`` exactly like the serial/process/async
-backends -- and the worker side is ``repro-planarity worker --connect
-host:port`` (see :func:`repro.runtime.worker.serve_remote`).
+Workers in other processes, containers, or machines join a fleet with
+``repro-planarity worker --connect host:port`` (see
+:func:`repro.runtime.worker.serve_remote`).  The one dispatcher that
+serves them is :class:`~repro.runtime.service.SweepService`; this
+module holds what the service, the client, the worker and the CLI
+share -- frame reading, endpoint parsing, the worker handshake -- plus
+:class:`RemoteBackend`, the thin ``run_jobs`` adapter that runs each
+batch on an embedded service.
 
 Wire protocol v2: **length-prefixed binary frames** (see
 :mod:`repro.runtime.codec` -- 2-byte magic + u32 body length + one
@@ -25,7 +26,7 @@ frame          fields
                (worker's registered job kinds), ``store`` (worker's
                store dir or ``None``), ``pid``
 ``welcome``    server -> worker: ``protocol``, ``store`` (the
-               orchestrator's store dir, for same-host adoption),
+               server's store dir, for same-host adoption),
                optional ``trace`` (``{"dir", "parent"}`` -- the trace
                sink same-host workers adopt; see
                :func:`repro.telemetry.adopt_trace`)
@@ -33,7 +34,7 @@ frame          fields
                the connection closes immediately after
 ``job``        server -> worker: ``id``, ``spec_pkd`` (shape-packed
                :meth:`JobSpec.to_payload`), ``key`` (cache key or
-               ``None``), ``shapes``
+               ``None``), ``nostore``, ``shapes``
 ``result``     worker -> server: ``id``, ``record_pkd`` (shape-packed
                record bytes), ``shapes``, ``hit`` (served from the
                worker's store), ``seconds`` (worker-side wall-time,
@@ -41,96 +42,39 @@ frame          fields
                persisted the record itself) -- or ``error`` +
                ``traceback`` on failure
 ``ping``       server -> worker heartbeat; worker answers ``pong``
-``exit``       server -> worker: batch done, disconnect
+``exit``       server -> worker: done, disconnect
 =============  =========================================================
 
-Version negotiation: a legacy JSON-lines worker (protocol 1) opens
-with ``{"op": "hello", ...}\\n``; the server detects the ``{`` where a
-frame magic should be, answers with a newline-delimited JSON
-``reject`` (the only dialect that worker can read) whose reason names
-the protocol mismatch, and closes.  A v2 hello with the wrong
-``protocol`` number is rejected symmetrically in a binary frame.
-
-Fault model: a worker that dies mid-job (socket EOF/reset) has its
-in-flight job **requeued** for the next worker, so killing a worker
-never loses work -- and the partial elapsed time is observed into the
-batch's :class:`~repro.runtime.scheduler.CostBook` (when one is
-attached via ``accepts_cost_book``), so requeues still feed the cost
-model; a worker whose *job* raises reports an ``error``
-frame, which aborts the batch with :class:`RemoteWorkerError` (the
-failure is deterministic -- retrying it elsewhere would fail again).
-With telemetry enabled (:mod:`repro.telemetry`) the server also emits
-``remote.connect`` / ``remote.disconnect`` / ``remote.requeue`` /
-``remote.heartbeat`` / ``remote.abort`` events, per-worker utilization
-gauges, and advertises its trace sink in the ``welcome`` frame so
-same-host workers join the merged trace.
-Handshakes reject protocol-version mismatches, workers missing job
-kinds the batch needs, and workers pointed at a *different* store
-(split-brain caches).  Records stream back in completion order; specs
-carry all randomness, so remote records are byte-identical to serial.
+Handshakes reject a ``protocol`` mismatch and workers pointed at a
+*different* store (split-brain caches); a peer that does not speak
+binary frames at all fails the frame-magic check and is disconnected.
+Workers are admitted whatever job kinds they registered and only
+receive jobs of those kinds.  Specs carry all randomness, so fleet
+records are byte-identical to serial.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import queue
-import socket
-import struct
-import threading
 import time
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..telemetry.metrics import get_metrics
 from ..telemetry.spans import get_tracer
 from .codec import (
     FRAME_HEADER_SIZE,
-    GLOBAL_SHAPES,
-    TruncatedEntry,
     WireProtocolError,
     decode_record,
     decode_wire_body,
-    encode_record,
     encode_wire_frame,
-    frame_shapes,
     parse_frame_header,
 )
 from .jobs import JobSpec, Record
-from .store import ShardedStore
 
 PROTOCOL_VERSION = 2
-
-_SENTINEL = object()
 
 
 class RemoteWorkerError(RuntimeError):
     """A remote worker reported a deterministic job failure."""
-
-
-class RemoteProtocolError(RuntimeError):
-    """A peer spoke the wire protocol wrong (bad frame, bad handshake)."""
-
-
-def encode_frame(payload: dict) -> bytes:
-    """One *legacy* (protocol 1) wire frame: compact JSON + newline.
-
-    Kept for handshake negotiation: it is the only dialect a legacy
-    worker can read, so protocol-mismatch rejects to such workers are
-    sent this way.  All v2 traffic uses
-    :func:`~repro.runtime.codec.encode_wire_frame`.
-    """
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def decode_frame(line: bytes) -> dict:
-    """Parse one legacy JSON frame; :class:`RemoteProtocolError` on junk."""
-    try:
-        payload = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise RemoteProtocolError(f"undecodable frame: {line[:200]!r}") from exc
-    if not isinstance(payload, dict):
-        raise RemoteProtocolError(f"frame is not an object: {payload!r}")
-    return payload
 
 
 async def read_bframe(reader) -> Optional[dict]:
@@ -177,9 +121,8 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.name = name
-        # Job kinds the worker registered at handshake; the service
-        # uses them to filter dispatch (the batch backend rejects
-        # under-equipped workers outright instead).
+        # Job kinds the worker registered at handshake; dispatch only
+        # hands it jobs of these kinds.
         self.kinds = frozenset(kinds)
         # The persistent frame-read task: lets the dispatch loop wait
         # on "next frame OR next job" without two readers racing.
@@ -208,27 +151,29 @@ class _Connection:
 class RemoteBackend:
     """Fans jobs over workers connected via TCP (``--backend remote``).
 
+    A thin adapter over the one fleet dispatcher: each
+    :meth:`run_stream` call starts an embedded
+    :class:`~repro.runtime.service.SweepService` on this endpoint,
+    feeds it the batch as one in-process session, and stops it when
+    the batch ends (connected workers receive ``exit``).  Workers may
+    join late, leave, or die mid-job (the job is requeued); a job that
+    raises aborts the batch with :class:`RemoteWorkerError`.
+
     Args:
         host / port: listen endpoint; port ``0`` binds an ephemeral
             port (read it from :attr:`bound_port` after :meth:`bind`).
         store_dir: the shared sharded-store directory.  Workers are
-            told it at handshake (same-host workers adopt it and probe
-            /append directly); results a worker could *not* persist are
-            appended server-side, so the store always converges to one
-            line per executed job.
+            told it at handshake (same-host workers adopt it to probe
+            for hits); the service appends every executed job's result
+            bytes itself, so the store holds one row per job.
         heartbeat: idle-connection ping interval in seconds.
-
-    The server accepts workers for the lifetime of one ``run_stream``
-    call: workers may join late, leave, or die mid-job (the job is
-    requeued).  The batch finishes when every record has landed, then
-    connected workers receive ``exit``.
     """
 
     name = "remote"
     wants_graph_hints = False
     wants_keys = True
     # run_jobs/iter_jobs attach their CostBook here for the duration of
-    # a batch: the backend observes *partial* elapsed time for jobs
+    # a batch: the service observes *partial* elapsed time for jobs
     # whose worker died mid-flight (the stream only reports completed
     # jobs, so requeue costs would otherwise be dropped on the floor).
     accepts_cost_book = True
@@ -244,22 +189,20 @@ class RemoteBackend:
         self.port = port
         self.store_dir = str(store_dir) if store_dir else None
         self.heartbeat = heartbeat
-        self.bound_port: Optional[int] = None
-        self.ready = threading.Event()
         self.cost_book = None
-        self._socket: Optional[socket.socket] = None
-        self._store: Optional[ShardedStore] = None
-        self._abort_loop = None
-        self._abort_event = None
-        self._connections: Set[_Connection] = set()
+        self._service = None
+
+    @property
+    def bound_port(self) -> Optional[int]:
+        """The listening port, or ``None`` outside a bound batch."""
+        service = self._service
+        return service.bound_port if service is not None else None
 
     @property
     def active_workers(self) -> int:
-        """Live worker connections (the ``--progress`` dashboard reads
-        this from the consumer thread; a plain ``len`` is safe)."""
-        return len(self._connections)
-
-    # -- public API -----------------------------------------------------------
+        """Live worker connections (read by the ``--progress`` dashboard)."""
+        service = self._service
+        return service.active_workers if service is not None else 0
 
     def bind(self) -> int:
         """Bind the listen socket now; returns the bound port.
@@ -268,15 +211,24 @@ class RemoteBackend:
         learn an ephemeral port before starting workers (the CLI also
         uses it to print the endpoint before dispatch blocks).
         """
-        if self._socket is None:
-            sock = socket.create_server(
-                (self.host, self.port), reuse_port=False
+        if self._service is None:
+            # Lazy: service -> sweeps -> executor -> remote.
+            from .service import SweepService
+
+            self._service = SweepService(
+                self.host, self.port, self.store_dir, self.heartbeat
             )
-            sock.setblocking(False)
-            self._socket = sock
-            self.bound_port = sock.getsockname()[1]
-            self.ready.set()
-        return self.bound_port
+        return self._service.bind()
+
+    def stop(self) -> None:
+        """End the current batch now (thread-safe, idempotent).
+
+        The stream returns, workers receive ``exit``, and the listen
+        socket is released.
+        """
+        service, self._service = self._service, None
+        if service is not None:
+            service.stop()
 
     def run(
         self,
@@ -308,390 +260,24 @@ class RemoteBackend:
         if not specs:
             return
         self.bind()
-        out: "queue.Queue" = queue.Queue()
-
-        def pump():
-            try:
-                asyncio.run(self._serve(specs, keys, out))
-            except BaseException as exc:  # surfaced by the consumer
-                out.put(exc)
-            finally:
-                out.put(_SENTINEL)
-
-        thread = threading.Thread(
-            target=pump, name="repro-remote-backend", daemon=True
-        )
-        thread.start()
+        service = self._service
         try:
-            while True:
-                item = out.get()
-                if item is _SENTINEL:
-                    break
-                if isinstance(item, BaseException):
-                    raise item
-                yield item
-        finally:
-            # A consumer abandoning the generator mid-batch
-            # (KeyboardInterrupt, an exception downstream) must not
-            # hang on a pump thread that is still awaiting results:
-            # wake the server loop so it shuts down cleanly.
-            self._request_abort()
-            thread.join()
-
-    def _request_abort(self) -> None:
-        """Ask a live serve loop to finish now (thread-safe, idempotent)."""
-        loop, event = self._abort_loop, self._abort_event
-        if loop is None or event is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:
-            pass  # loop already shut down between the check and the call
-
-    # -- event loop internals -------------------------------------------------
-
-    async def _serve(
-        self,
-        specs: List[JobSpec],
-        keys: Optional[Sequence[str]],
-        out: "queue.Queue",
-    ) -> None:
-        pending: "asyncio.Queue" = asyncio.Queue()
-        for index, spec in enumerate(specs):
-            key = keys[index] if keys is not None else None
-            pending.put_nowait((index, spec, key))
-        state = {
-            "remaining": len(specs),
-            "failed": None,  # first RemoteWorkerError, aborts the batch
-        }
-        finished = asyncio.Event()
-        kinds_needed = sorted({spec.kind for spec in specs})
-        connections = self._connections
-        connections.clear()
-        if self.store_dir and self._store is None:
-            self._store = ShardedStore(self.store_dir)
-        if self._store is not None:
-            # Materialize store.json now: worker-side store adoption
-            # checks for it, so it must exist before the first worker
-            # handshakes (not merely after the first append).
-            self._store._ensure_root()
-        self._abort_loop = asyncio.get_running_loop()
-        self._abort_event = finished
-
-        async def handle(reader, writer):
-            # Swallow cancellation: server teardown cancels handlers
-            # whose workers are idle; that is a clean exit, not an
-            # error worth the event loop's exception logger.
-            try:
-                conn = await self._handshake(reader, writer, kinds_needed)
-                if conn is None:
-                    return
-                connections.add(conn)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "remote.connect",
-                        worker=conn.name,
-                        workers=len(connections),
-                    )
-                    get_metrics().gauge("remote.workers", len(connections))
-                try:
-                    await self._dispatch_loop(
-                        conn, pending, out, state, finished
-                    )
-                finally:
-                    connections.discard(conn)
-                    if tracer.enabled:
-                        tracer.event(
-                            "remote.disconnect",
-                            worker=conn.name,
-                            jobs_done=conn.jobs_done,
-                            busy_s=round(conn.busy_s, 6),
-                            workers=len(connections),
-                        )
-                        get_metrics().gauge(
-                            "remote.workers", len(connections)
-                        )
-                    conn.writer.close()
-            except asyncio.CancelledError:
-                pass
-
-        server = await asyncio.start_server(handle, sock=self._socket)
-        try:
-            await finished.wait()
-        finally:
-            server.close()
-            for conn in list(connections):
-                try:
-                    conn.writer.write(encode_wire_frame({"op": "exit"}))
-                    await conn.writer.drain()
-                except (OSError, ConnectionError):
-                    pass
-            await server.wait_closed()
-            self._socket = None
-            self.bound_port = None
-            self.ready.clear()
-            self._abort_loop = None
-            self._abort_event = None
-        if state["failed"] is not None:
-            raise state["failed"]
-
-    async def _handshake(
-        self, reader, writer, kinds_needed: List[str]
-    ) -> Optional[_Connection]:
-        """Validate a connecting worker; ``None`` means rejected."""
-        return await welcome_worker(
-            reader,
-            writer,
-            kinds_needed=kinds_needed,
-            store_dir=self.store_dir,
-            timeout=max(self.heartbeat, 10.0),
-        )
-
-    async def _dispatch_loop(
-        self,
-        conn: _Connection,
-        pending: "asyncio.Queue",
-        out: "queue.Queue",
-        state: dict,
-        finished: asyncio.Event,
-    ) -> None:
-        """Feed one worker jobs until the batch completes or it dies."""
-        loop = asyncio.get_event_loop()
-        last_ping = loop.time()
-        while not finished.is_set():
-            getter = asyncio.ensure_future(pending.get())
-            frame_task = conn.next_frame_task()
-            finish_task = asyncio.ensure_future(finished.wait())
-            done, _ = await asyncio.wait(
-                {getter, frame_task, finish_task},
-                timeout=self.heartbeat,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            finish_task.cancel()
-            if finished.is_set():
-                await _requeue_cancelled(getter, pending)
-                try:
-                    conn.writer.write(encode_wire_frame({"op": "exit"}))
-                    await conn.writer.drain()
-                except (OSError, ConnectionError):
-                    pass
-                return
-            if frame_task in done:
-                # Unsolicited frame while idle: pong (fine) or EOF
-                # (worker died between jobs).
-                await _requeue_cancelled(getter, pending)
-                try:
-                    frame = frame_task.result()
-                except (WireProtocolError, OSError):
-                    return  # torn frame or reset: drop the worker
-                if frame is None:
-                    return  # EOF: nothing in flight, nothing to requeue
-                if frame.get("op") not in ("pong",):
-                    # Unexpected chatter; drop the worker.
-                    return
-                self._note_pong(conn)
-                continue
-            if getter not in done:
-                # Idle heartbeat window elapsed: ping the worker (a
-                # dead one fails the write or EOFs the read task).
-                await _requeue_cancelled(getter, pending)
-                if loop.time() - last_ping >= self.heartbeat:
-                    try:
-                        conn.writer.write(encode_wire_frame({"op": "ping"}))
-                        await conn.writer.drain()
-                        last_ping = loop.time()
-                        conn.ping_sent = time.monotonic()
-                    except (OSError, ConnectionError):
-                        return
-                continue
-            item = getter.result()
-            ok = await self._run_one(conn, item, pending, out, state)
-            last_ping = loop.time()
-            if state["remaining"] == 0 or state["failed"] is not None:
-                finished.set()
-            if not ok:
-                return
-
-    async def _run_one(
-        self,
-        conn: _Connection,
-        item: Tuple[int, JobSpec, Optional[str]],
-        pending: "asyncio.Queue",
-        out: "queue.Queue",
-        state: dict,
-    ) -> bool:
-        """Send one job; collect its result.  ``False`` = drop worker."""
-        index, spec, key = item
-        spec_pkd, _shape = encode_record(spec.to_payload())
-        request = {
-            "op": "job",
-            "id": index,
-            "spec_pkd": spec_pkd,
-            "key": key,
-            "shapes": frame_shapes(iter((spec_pkd,)), conn.sent_shapes),
-        }
-        try:
-            conn.writer.write(encode_wire_frame(request))
-            await conn.writer.drain()
-        except (OSError, ConnectionError):
-            pending.put_nowait(item)  # never dispatched: requeue
-            return False
-        dispatched = time.perf_counter()
-        while True:
-            try:
-                frame = await conn.next_frame_task()
-            except (WireProtocolError, OSError):
-                frame = None  # torn frame: same as a dead worker
-            conn.read_task = None
-            if frame is None:
-                # Worker died mid-job: requeue for the next worker.
-                self._requeue_inflight(conn, item, pending, dispatched)
-                return False
-            op = frame.get("op")
-            if op == "pong":
-                self._note_pong(conn)
-                continue
-            if op != "result" or frame.get("id") != index:
-                self._requeue_inflight(conn, item, pending, dispatched)
-                return False
-            break
-        if "error" in frame:
-            detail = frame.get("traceback") or frame["error"]
-            state["failed"] = RemoteWorkerError(
-                f"job #{index} ({spec.kind}) failed on {conn.name}: {detail}"
-            )
-            get_tracer().event(
-                "remote.abort", worker=conn.name, index=index, kind=spec.kind
-            )
-            return False
-        record_pkd = frame.get("record_pkd")
-        if not isinstance(record_pkd, (bytes, bytearray)):
-            self._requeue_inflight(conn, item, pending, dispatched)
-            return False
-        try:
-            for block in frame.get("shapes") or ():
-                GLOBAL_SHAPES.register_block(block)
-            if (
-                key
-                and self._store is not None
-                and not frame.get("stored", False)
+            service.start()
+            for index, payload, seconds in service.run_local(
+                specs, keys, self.cost_book
             ):
-                # Storeless workers (no shared filesystem) cannot
-                # persist; the orchestrator appends the worker's result
-                # *bytes* on their behalf -- no decode/re-encode -- so
-                # resume runs still find every record on disk.
-                self._store.put_raw(key, bytes(record_pkd))
-            # One decode per record, for the consumer stream; the
-            # store append above never parses it.
-            record = decode_record(bytes(record_pkd))
-        except (KeyError, ValueError, TruncatedEntry, struct.error):
-            # Undecodable payload (missing shape def, corrupt bytes):
-            # treat like any other protocol violation -- requeue the
-            # job and drop the worker.
-            self._requeue_inflight(conn, item, pending, dispatched)
-            return False
-        state["remaining"] -= 1
-        seconds = frame.get("seconds")
-        conn.jobs_done += 1
-        if isinstance(seconds, (int, float)):
-            conn.busy_s += max(seconds, 0.0)
-        tracer = get_tracer()
-        if tracer.enabled:
-            metrics = get_metrics()
-            metrics.gauge("remote.queue_depth", pending.qsize())
-            metrics.gauge(f"remote.worker.{conn.name}.jobs_done", conn.jobs_done)
-            metrics.gauge(
-                f"remote.worker.{conn.name}.busy_s", round(conn.busy_s, 6)
-            )
-            metrics.gauge(
-                f"remote.worker.{conn.name}.utilization",
-                round(conn.utilization(), 4),
-            )
-        out.put((index, record, seconds))
-        return True
-
-    def _requeue_inflight(
-        self,
-        conn: _Connection,
-        item: Tuple[int, JobSpec, Optional[str]],
-        pending: "asyncio.Queue",
-        dispatched: float,
-    ) -> None:
-        """Requeue a dispatched job whose worker died or spoke junk.
-
-        The partial elapsed time is *observed into the cost book*: a
-        worker that died ``elapsed`` seconds into a job still bounds
-        that job's cost from below, and silently dropping the sample
-        starved the CostModel of exactly the slow-job evidence that
-        matters most for shard balancing.
-        """
-        index, spec, key = item
-        pending.put_nowait(item)
-        elapsed = max(0.0, time.perf_counter() - dispatched)
-        if self.cost_book is not None:
-            self.cost_book.observe(spec.kind, spec.n, elapsed)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "remote.requeue",
-                worker=conn.name,
-                index=index,
-                kind=spec.kind,
-                n=spec.n,
-                elapsed_s=round(elapsed, 6),
-            )
-            get_metrics().inc("remote.requeues")
-
-    def _note_pong(self, conn: _Connection) -> None:
-        """Record the heartbeat round-trip for a pong just received."""
-        if conn.ping_sent is None:
-            return
-        rtt = max(0.0, time.monotonic() - conn.ping_sent)
-        conn.ping_sent = None
-        tracer = get_tracer()
-        if tracer.enabled:
-            get_metrics().observe("remote.heartbeat_rtt_s", rtt)
-            tracer.event(
-                "remote.heartbeat",
-                worker=conn.name,
-                rtt_s=round(rtt, 6),
-            )
+                # The one decode per record, for the consumer stream;
+                # the service appended the bytes to the store verbatim.
+                yield index, decode_record(payload), seconds
+        finally:
+            self.stop()
 
 
-async def read_first_frame(reader) -> dict:
-    """Read a connection's opening frame, detecting legacy JSON peers.
-
-    A v2 peer opens with a binary frame (magic ``\\xa6R``); a legacy
-    JSON-lines worker opens with ``{"op": "hello", ...}\\n``.  The
-    first byte tells them apart, so old workers get a readable
-    rejection instead of a silent disconnect.  Legacy frames come back
-    with ``"legacy": True`` added.
-    """
-    first = await reader.readexactly(1)
-    if first == b"{":
-        line = first + await reader.readline()
-        try:
-            hello = decode_frame(line)
-        except RemoteProtocolError:
-            hello = {}
-        hello["legacy"] = True
-        return hello
-    rest = await reader.readexactly(FRAME_HEADER_SIZE - 1)
-    body_len = parse_frame_header(first + rest)
-    body = await reader.readexactly(body_len)
-    return decode_wire_body(body)
-
-
-async def reject_peer(writer, reason: str, legacy: bool = False) -> None:
-    """Send a ``reject`` frame (legacy JSON for protocol-1 peers) and close."""
-    get_tracer().event("remote.reject", reason=reason)
-    frame = {"op": "reject", "reason": reason}
+async def reject_peer(writer, reason: str) -> None:
+    """Send a ``reject`` frame and close the connection."""
+    get_tracer().event("service.reject", reason=reason)
     try:
-        # A legacy JSON-lines worker cannot parse a binary frame; the
-        # reject is the one message still sent in its dialect so it
-        # can report *why* it was dropped.
-        writer.write(encode_frame(frame) if legacy else encode_wire_frame(frame))
+        writer.write(encode_wire_frame({"op": "reject", "reason": reason}))
         await writer.drain()
     except (OSError, ConnectionError):
         pass
@@ -699,31 +285,14 @@ async def reject_peer(writer, reason: str, legacy: bool = False) -> None:
 
 
 async def validate_worker_hello(
-    hello: dict,
-    writer,
-    kinds_needed: Optional[Sequence[str]],
-    store_dir: Optional[str],
+    hello: dict, writer, store_dir: Optional[str]
 ) -> bool:
     """Check a worker ``hello`` against this server; reject + ``False`` on
     mismatch.
 
-    *kinds_needed* is the batch's required job kinds -- ``None`` skips
-    the check (the long-lived service admits any worker and instead
-    filters dispatch per connection, since future submissions may need
-    kinds no current worker has).
+    Job kinds are not checked: a worker is admitted whatever kinds it
+    registered, and dispatch only hands it jobs of those kinds.
     """
-    if hello.get("legacy"):
-        await reject_peer(
-            writer,
-            f"protocol mismatch: server speaks {PROTOCOL_VERSION} "
-            f"(binary frames), worker speaks legacy JSON "
-            f"({hello.get('protocol', 1)!r})",
-            legacy=True,
-        )
-        return False
-    if hello.get("op") != "hello":
-        await reject_peer(writer, "expected hello frame")
-        return False
     if hello.get("protocol") != PROTOCOL_VERSION:
         await reject_peer(
             writer,
@@ -731,14 +300,6 @@ async def validate_worker_hello(
             f"worker speaks {hello.get('protocol')!r}",
         )
         return False
-    if kinds_needed is not None:
-        worker_kinds = set(hello.get("kinds") or ())
-        missing = [k for k in kinds_needed if k not in worker_kinds]
-        if missing:
-            await reject_peer(
-                writer, f"worker is missing job kinds: {missing}"
-            )
-            return False
     worker_store = hello.get("store")
     if (
         worker_store
@@ -755,33 +316,10 @@ async def validate_worker_hello(
 
 
 async def welcome_worker(
-    reader,
-    writer,
-    kinds_needed: Optional[Sequence[str]] = None,
-    store_dir: Optional[str] = None,
-    timeout: float = 10.0,
-    hello: Optional[dict] = None,
+    reader, writer, hello: dict, store_dir: Optional[str] = None
 ) -> Optional[_Connection]:
-    """Run the server side of the worker handshake; ``None`` = rejected.
-
-    Shared by the per-batch :class:`RemoteBackend` and the persistent
-    :class:`~repro.runtime.service.SweepService` (which has already
-    read the opening frame to tell workers from clients apart and
-    passes it as *hello*).
-    """
-    if hello is None:
-        try:
-            hello = await asyncio.wait_for(
-                read_first_frame(reader), timeout=timeout
-            )
-        except (
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            ValueError,  # covers WireProtocolError
-        ):
-            writer.close()
-            return None
-    if not await validate_worker_hello(hello, writer, kinds_needed, store_dir):
+    """Answer a worker's opening ``hello``; ``None`` = rejected."""
+    if not await validate_worker_hello(hello, writer, store_dir):
         return None
     welcome = {
         "op": "welcome",
@@ -809,20 +347,6 @@ async def welcome_worker(
     await writer.drain()
     name = f"worker-pid{hello.get('pid', '?')}"
     return _Connection(reader, writer, name, kinds=hello.get("kinds") or ())
-
-
-async def _requeue_cancelled(getter: "asyncio.Task", pending) -> None:
-    """Cancel a queue getter, requeueing an item it may have grabbed."""
-    if getter.done():
-        if not getter.cancelled():
-            pending.put_nowait(getter.result())
-        return
-    getter.cancel()
-    try:
-        item = await getter
-    except asyncio.CancelledError:
-        return
-    pending.put_nowait(item)
 
 
 def _same_path(left: str, right: str) -> bool:

@@ -59,9 +59,10 @@ class CostBook:
     orchestrators can race on a cell; the loser's increment is lost,
     which is acceptable for an advisory cost table.
 
-    ``observe`` is thread-safe: the remote backend logs requeued jobs'
-    partial elapsed time from its pump thread while ``iter_jobs``
-    observes completed jobs from the consumer thread.  When telemetry
+    ``observe`` is thread-safe: the remote backend's embedded service
+    logs requeued jobs' partial elapsed time from its loop thread while
+    ``iter_jobs`` observes completed jobs from the consumer thread.
+    When telemetry
     is enabled and a :class:`CostModel` is attached (``model``), every
     observation also feeds the ``scheduler.cost_rel_error`` histogram
     with ``|actual - predicted| / predicted`` -- the model-quality

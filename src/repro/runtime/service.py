@@ -1,16 +1,17 @@
-"""Planarity testing as a service: the persistent sweep server.
+"""Planarity testing as a service: the one fleet dispatcher.
 
-The per-batch :class:`~repro.runtime.remote.RemoteBackend` owns its
-fleet for the lifetime of one ``run_stream`` call; this module lifts
-the same binary frame protocol (:mod:`repro.runtime.codec`) into a
-**long-lived server** (``repro-planarity serve --listen host:port``)
-that many clients submit sweeps to concurrently while sharing one
-worker fleet and one sharded store.  Workers connect exactly as they
-do to a batch server (same ``hello``/``welcome`` handshake, same
-``job``/``result``/``ping``/``pong`` frames -- see
-:func:`~repro.runtime.remote.welcome_worker`); clients open with a
-``submit`` frame, which is how the server tells the two peer types
-apart from the first frame.
+:class:`SweepService` serves the binary frame protocol
+(:mod:`repro.runtime.codec`) as a **long-lived server**
+(``repro-planarity serve --listen host:port``) that many clients
+submit sweeps to concurrently while sharing one worker fleet and one
+sharded store.  It is also the engine behind ``--backend remote``:
+:class:`~repro.runtime.remote.RemoteBackend` starts one embedded
+service per batch and feeds it the batch as an in-process session
+(:meth:`SweepService.run_local`).  Workers open with a ``hello``
+frame (handshake: :func:`~repro.runtime.remote.welcome_worker`) and
+then serve ``job``/``result``/``ping``/``pong`` frames; clients open
+with a ``submit`` frame, which is how the server tells the two peer
+types apart from the first frame.
 
 Client-side ops (layered next to the worker ops):
 
@@ -36,10 +37,18 @@ frame          fields
 
 Scheduling: one round-robin pointer walks the connected clients'
 queues, so two clients fair-share the fleet no matter how unequal
-their sweeps are; a worker only receives jobs whose kind it
-registered at handshake.  Admission control bounds the server
-(``max_clients`` sessions, ``max_pending`` queued jobs across all of
-them); overload is an explicit ``reject``, never an unbounded queue.
+their sweeps are; a worker is admitted whatever job kinds it
+registered at handshake and only receives jobs of those kinds.
+Admission control bounds the socket side (``max_clients`` sessions,
+``max_pending`` queued jobs across all of them); overload is an
+explicit ``reject``, never an unbounded queue.
+
+Faults: a worker that dies mid-job (EOF, reset, torn frame) has the
+job requeued for the next capable worker, and the partial elapsed
+time is observed into the cost book -- a death ``t`` seconds in still
+bounds the job's cost from below.  A job that *raises* fails its
+sweep (specs carry all their randomness, so a retry would fail
+again): the session's ``verdict`` carries the ``error``.
 
 Stragglers: jobs carry a :class:`~repro.runtime.scheduler.CostModel`
 prediction from the store's cost history, and a periodic scan
@@ -47,25 +56,32 @@ re-dispatches any job whose elapsed time exceeds
 :class:`~repro.runtime.scheduler.SpeculationPolicy`'s straggler
 threshold to a second worker.  First result wins; the loser's result
 is dropped on arrival.  Job frames carry ``nostore: True`` so workers
-never append speculated results themselves -- the service persists
-the winning copy's bytes exactly once, keeping the store one line
-per job no matter how many twins raced.
+never append results themselves -- the service persists the winning
+copy's bytes exactly once, keeping the store one row per job no
+matter how many twins raced.
 
 Identical jobs submitted by different clients coalesce: the second
 client becomes a *waiter* on the first client's in-flight job instead
 of queueing a duplicate, and both receive the one record.
+
+Telemetry (when enabled): ``service.worker_connect`` /
+``service.worker_disconnect`` / ``service.requeue`` /
+``service.heartbeat`` events, the ``service.heartbeat_rtt_s``
+histogram, the ``service.requeues`` counter, and per-worker
+``service.worker.<name>.jobs_done|busy_s|utilization`` gauges.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import queue
 import socket
 import struct
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..telemetry.metrics import get_metrics
 from ..telemetry.spans import get_tracer, telemetry_enabled
@@ -81,9 +97,9 @@ from .codec import (
 from .jobs import JobSpec
 from .remote import (
     PROTOCOL_VERSION,
+    RemoteWorkerError,
     _Connection,
     read_bframe,
-    read_first_frame,
     reject_peer,
     welcome_worker,
 )
@@ -106,7 +122,7 @@ class _Job:
         "dispatched_at", "predicted", "conns", "speculated",
     )
 
-    def __init__(self, uid: int, spec: JobSpec, key: str):
+    def __init__(self, uid: int, spec: JobSpec, key: Optional[str]):
         self.uid = uid
         self.spec = spec
         self.key = key
@@ -181,6 +197,27 @@ class _ClientSession:
             "done": self.total - self.remaining,
             "total": self.total,
         })
+
+
+class _LocalSession(_ClientSession):
+    """An in-process client: frames land on a thread-safe queue.
+
+    ``cost_book`` is the caller's book.  The caller observes completed
+    jobs from the streamed ``seconds`` itself, so the service logs only
+    requeued dispatches' partial time there -- and nothing into its own
+    book, which would flush a second copy into the store's cost table.
+    """
+
+    __slots__ = ("outbox", "cost_book")
+
+    def __init__(self, uid: int, name: str, outbox: "queue.Queue", cost_book):
+        super().__init__(uid, name, None, None)
+        self.outbox = outbox
+        self.cost_book = cost_book
+
+    async def send(self, frame: dict) -> bool:
+        self.outbox.put(frame)
+        return True
 
 
 class SweepService:
@@ -335,6 +372,44 @@ class SweepService:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    def run_local(
+        self,
+        specs: Sequence[JobSpec],
+        keys: Optional[Sequence[Optional[str]]] = None,
+        cost_book: Optional[CostBook] = None,
+    ) -> Iterator[Tuple[int, bytes, Optional[float]]]:
+        """Serve *specs* as one in-process session of the started service.
+
+        Yields ``(index, record_pkd, seconds)`` as records land
+        (``seconds`` is ``None`` for store hits).  *keys* are the
+        jobs' cache keys; without them jobs bypass the store.  The
+        socket admission bounds do not apply.  A failing job raises
+        :class:`~repro.runtime.remote.RemoteWorkerError`; a
+        :meth:`stop` ends the stream early.
+        """
+        outbox: "queue.Queue" = queue.Queue()
+        asyncio.run_coroutine_threadsafe(
+            self._local_loop(list(specs), keys, outbox, cost_book), self._loop
+        )
+        while True:
+            try:
+                frame = outbox.get(timeout=1.0)
+            except queue.Empty:
+                if self._done.is_set():
+                    return  # stopped before the session even opened
+                continue
+            if frame is None:
+                return  # the service stopped under the session
+            if isinstance(frame, Exception):
+                raise frame  # the session itself crashed
+            op = frame["op"]
+            if op == "record":
+                yield frame["index"], frame["record_pkd"], frame["seconds"]
+            elif op == "verdict":
+                if "error" in frame:
+                    raise RemoteWorkerError(frame["error"])
+                return
+
     # -- event loop internals -------------------------------------------------
 
     async def _amain(self) -> None:
@@ -380,24 +455,19 @@ class SweepService:
         try:
             try:
                 first = await asyncio.wait_for(
-                    read_first_frame(reader),
-                    timeout=max(self.heartbeat, 10.0),
+                    read_bframe(reader), timeout=max(self.heartbeat, 10.0)
                 )
-            except (
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-                ValueError,  # covers WireProtocolError
-            ):
+            except (asyncio.TimeoutError, ValueError):
+                # ValueError covers WireProtocolError: a torn frame, or
+                # a peer that does not speak binary frames at all.
+                first = None
+            if first is None:
                 writer.close()
                 return
             op = first.get("op")
-            if first.get("legacy") or op == "hello":
+            if op == "hello":
                 conn = await welcome_worker(
-                    reader,
-                    writer,
-                    kinds_needed=None,  # admit all; filter at dispatch
-                    store_dir=self.store_dir,
-                    hello=first,
+                    reader, writer, first, store_dir=self.store_dir
                 )
                 if conn is not None:
                     await self._worker_loop(conn)
@@ -441,11 +511,50 @@ class SweepService:
         self._session_seq += 1
         name = str(submit.get("client") or f"client-{self._session_seq}")
         session = _ClientSession(self._session_seq, name, reader, writer)
-        await self._enqueue_sweep(session, specs)
+        deriver = KeyDeriver()
+        keys = [deriver.key_for(spec) for spec in specs]
+        try:
+            await self._open_session(session, specs, keys)
+            await self._client_read_loop(session)
+        finally:
+            self._close_session(session)
+            writer.close()
+
+    async def _local_loop(
+        self,
+        specs: List[JobSpec],
+        keys: Optional[Sequence[Optional[str]]],
+        outbox: "queue.Queue",
+        cost_book: Optional[CostBook],
+    ) -> None:
+        """The in-process session behind :meth:`run_local`."""
+        self._session_seq += 1
+        session = _LocalSession(
+            self._session_seq, f"local-{self._session_seq}", outbox, cost_book
+        )
+        try:
+            await self._open_session(
+                session, specs, keys if keys is not None else [None] * len(specs)
+            )
+            await session.finished.wait()
+        except Exception as exc:  # re-raised in the consumer thread
+            outbox.put(exc)
+        finally:
+            self._close_session(session)
+            outbox.put(None)
+
+    async def _open_session(
+        self,
+        session: _ClientSession,
+        specs: List[JobSpec],
+        keys: Sequence[Optional[str]],
+    ) -> None:
+        """Queue an admitted session's sweep and announce it."""
+        await self._enqueue_sweep(session, specs, keys)
         self._sessions.append(session)
         self._note_session_gauges(session)
         get_tracer().event(
-            "service.submit", client=name, jobs=session.total,
+            "service.submit", client=session.name, jobs=session.total,
             hits=session.hits,
         )
         await session.send(self._progress_frame(session))
@@ -453,32 +562,35 @@ class SweepService:
             await self._finish_session(session)
         else:
             self._pulse()
-        try:
-            await self._client_read_loop(session)
-        finally:
-            if session in self._sessions:
-                self._sessions.remove(session)
-            if not session.finished.is_set():
-                # Client vanished mid-sweep: drop its queued jobs; any
-                # in-flight jobs finish into the store for next time.
-                self._drop_queued(session)
-            self._note_session_gauges(session, depth=0)
-            get_tracer().event("service.disconnect", client=name)
-            writer.close()
+
+    def _close_session(self, session: _ClientSession) -> None:
+        if session in self._sessions:
+            self._sessions.remove(session)
+        if not session.finished.is_set():
+            # Client vanished mid-sweep: drop its queued jobs; any
+            # in-flight jobs finish into the store for next time.
+            self._drop_queued(session)
+        self._note_session_gauges(session, depth=0)
+        get_tracer().event("service.disconnect", client=session.name)
 
     async def _enqueue_sweep(
-        self, session: _ClientSession, specs: List[JobSpec]
+        self,
+        session: _ClientSession,
+        specs: List[JobSpec],
+        keys: Sequence[Optional[str]],
     ) -> None:
-        """Answer store hits immediately; queue or adopt the misses."""
-        deriver = KeyDeriver()
+        """Answer store hits immediately; queue or adopt the misses.
+
+        A job without a key (an in-process batch run with no cache)
+        bypasses the store and is never coalesced.
+        """
         model = CostModel.from_store(self._store)
         session.total = len(specs)
         session.remaining = len(specs)
-        for index, spec in enumerate(specs):
-            key = deriver.key_for(spec)
+        for index, (spec, key) in enumerate(zip(specs, keys)):
             payload = (
                 _store_payload(self._store, key)
-                if self._store is not None
+                if self._store is not None and key
                 else None
             )
             if payload is not None:
@@ -498,7 +610,8 @@ class SweepService:
             job = _Job(self._job_seq, spec, key)
             job.waiters.append((session, index))
             job.predicted = model.predict(spec.kind, spec.n)
-            self._pending_keys[key] = job
+            if key:
+                self._pending_keys[key] = job
             session.queue.append(job)
 
     async def _client_read_loop(self, session: _ClientSession) -> None:
@@ -634,6 +747,7 @@ class SweepService:
                             return  # EOF between jobs
                         if frame.get("op") != "pong":
                             return  # unexpected chatter
+                        self._note_pong(conn)
                         continue
                     if waiter not in done:
                         # Idle heartbeat window elapsed: ping.
@@ -669,6 +783,7 @@ class SweepService:
                     "service.worker_disconnect",
                     worker=conn.name,
                     jobs_done=conn.jobs_done,
+                    busy_s=round(conn.busy_s, 6),
                     workers=len(self._workers),
                 )
                 get_metrics().gauge("service.workers", len(self._workers))
@@ -774,6 +889,7 @@ class SweepService:
                 return False
             op = frame.get("op")
             if op == "pong":
+                self._note_pong(conn)
                 continue
             if op != "result" or frame.get("id") != job.uid:
                 self._dispatch_failed(conn, job, dispatched)
@@ -798,7 +914,7 @@ class SweepService:
             for block in frame.get("shapes") or ():
                 GLOBAL_SHAPES.register_block(block)
             payload = bytes(record_pkd)
-            if self._store is not None and not frame.get("hit"):
+            if self._store is not None and job.key and not frame.get("hit"):
                 self._store.put_raw(job.key, payload)
         except (KeyError, ValueError, TruncatedEntry, struct.error):
             self._dispatch_failed(conn, job, dispatched)
@@ -810,8 +926,15 @@ class SweepService:
         conn.jobs_done += 1
         if isinstance(seconds, (int, float)):
             conn.busy_s += max(seconds, 0.0)
-            if self._cost_book is not None:
-                self._cost_book.observe(job.spec.kind, job.spec.n, seconds)
+            book = self._cost_book_for(job, completed=True)
+            if book is not None:
+                book.observe(job.spec.kind, job.spec.n, seconds)
+        if telemetry_enabled():
+            metrics = get_metrics()
+            prefix = f"service.worker.{conn.name}"
+            metrics.gauge(f"{prefix}.jobs_done", conn.jobs_done)
+            metrics.gauge(f"{prefix}.busy_s", round(conn.busy_s, 6))
+            metrics.gauge(f"{prefix}.utilization", round(conn.utilization(), 4))
         for session, index in job.waiters:
             if session.cancelled or session.dead:
                 continue
@@ -864,9 +987,10 @@ class SweepService:
         book (a death ``t`` seconds in still bounds the job's cost)."""
         job.inflight -= 1
         job.conns.discard(conn)
-        if dispatched is not None and self._cost_book is not None:
+        book = self._cost_book_for(job, completed=False)
+        if dispatched is not None and book is not None:
             elapsed = max(0.0, time.perf_counter() - dispatched)
-            self._cost_book.observe(job.spec.kind, job.spec.n, elapsed)
+            book.observe(job.spec.kind, job.spec.n, elapsed)
         if job.state != _RUNNING or job.inflight > 0:
             return  # a twin is still running it, or it already resolved
         live = [(s, i) for s, i in job.waiters if not s.cancelled]
@@ -883,7 +1007,32 @@ class SweepService:
             client=live[0][0].name,
             kind=job.spec.kind,
         )
+        if telemetry_enabled():
+            get_metrics().inc("service.requeues")
         self._pulse()
+
+    def _cost_book_for(self, job: _Job, completed: bool) -> Optional[CostBook]:
+        """The book a dispatch of *job* is observed into, if any.
+
+        A job owned by an in-process session logs only its requeued
+        dispatches' partial time, into the caller's book (see
+        :class:`_LocalSession`); everything else feeds the service's.
+        """
+        owner = job.waiters[0][0] if job.waiters else None
+        if isinstance(owner, _LocalSession):
+            return None if completed else owner.cost_book
+        return self._cost_book
+
+    def _note_pong(self, conn: _Connection) -> None:
+        """Record the heartbeat round trip for a pong just received."""
+        if conn.ping_sent is None:
+            return
+        rtt = max(0.0, time.monotonic() - conn.ping_sent)
+        conn.ping_sent = None
+        tracer = get_tracer()
+        if tracer.enabled:
+            get_metrics().observe("service.heartbeat_rtt_s", rtt)
+            tracer.event("service.heartbeat", worker=conn.name, rtt_s=round(rtt, 6))
 
     async def _speculation_scan(self) -> None:
         """Periodically flag stragglers for re-dispatch."""

@@ -8,11 +8,12 @@ Two transports share one request handler:
   subprocess, spawned and owned by the orchestrator
   (:mod:`repro.runtime.async_backend`);
 * **TCP** (``--connect host:port``, also ``repro-planarity worker``):
-  the worker dials a :class:`~repro.runtime.remote.RemoteBackend`
-  sweep server, handshakes (protocol version, job-kind registry,
+  the worker dials a :class:`~repro.runtime.service.SweepService` --
+  a ``serve`` process, or the one ``sweep --backend remote`` embeds
+  for its batch -- handshakes (protocol version, job-kind registry,
   store dir), then serves jobs until the server says ``exit`` or the
   connection drops.  Connection attempts retry for ``--retry-seconds``
-  so workers can be started before the sweep server is listening.
+  so workers can be started before the server is listening.
 
 Specs arrive and records leave as **shape-packed codec payloads**
 (``spec_pkd`` / ``record_pkd``), the same byte format the sharded
@@ -26,15 +27,17 @@ per-connection sent-set on both ends.
 When a worker has a sharded store (``--store DIR``, or the directory
 adopted from the server's ``welcome`` frame), it consults the shared
 :class:`~repro.runtime.store.ShardedStore` *before* executing a job
-whose request carries a ``key``, and appends fresh records back --
-that is the cross-process cache sharing: concurrent sweeps and fleet
-workers with overlapping grids serve each other's results through one
-fcntl-locked on-disk index instead of each missing cold.
+whose request carries a ``key``, and appends fresh records back unless
+the request says ``nostore`` (the service always does: it persists
+results itself, exactly once) -- that is the cross-process cache
+sharing: concurrent sweeps and fleet workers with overlapping grids
+serve each other's results through one fcntl-locked on-disk index
+instead of each missing cold.
 
 Everything a record needs to be reproducible travels in the spec
 (``seed`` drives all randomness), so a worker is stateless: killing
 and respawning one mid-batch loses nothing but the in-flight job
-(which the remote server requeues).
+(which the service requeues).
 """
 
 from __future__ import annotations
@@ -329,7 +332,7 @@ def main(argv=None) -> int:
         prog="repro.runtime.worker",
         description=(
             "job worker: binary frames over stdio (async backend) or "
-            "TCP (remote backend)"
+            "TCP (sweep service or remote backend)"
         ),
     )
     parser.add_argument(
@@ -341,7 +344,7 @@ def main(argv=None) -> int:
         "--connect",
         default=None,
         metavar="HOST:PORT",
-        help="join a remote sweep server instead of serving stdio",
+        help="join a sweep service instead of serving stdio",
     )
     parser.add_argument(
         "--retry-seconds",

@@ -208,6 +208,17 @@ class TestSweepCLI:
         assert "jobs=4 executed=0" in out
         assert "cache: hits=4" in out
 
+    def test_sweep_markdown_same_for_fresh_and_stored_records(self, tmp_path):
+        """Store hits come back codec-decoded with their fields in a
+        different order; the rendered table must not change."""
+        base = ["sweep", "--kind", "test", "--families", "grid",
+                "--ns", "36", "--epsilons", "0.5", "--seeds", "0,1",
+                "--cache-dir", str(tmp_path / "cache")]
+        fresh, stored = tmp_path / "fresh.md", tmp_path / "stored.md"
+        assert main(base + ["--markdown", str(fresh)]) == 0
+        assert main(base + ["--markdown", str(stored)]) == 0
+        assert fresh.read_text() == stored.read_text()
+
     def test_sweep_shard_argument_validation(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--shard", "2/2"])

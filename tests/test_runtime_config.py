@@ -1,4 +1,4 @@
-"""RunConfig: precedence, env export, and the deprecation shims."""
+"""RunConfig: precedence, env export, and the entry points."""
 
 from __future__ import annotations
 
@@ -116,33 +116,6 @@ class TestEntryPoints:
             w for w in recwarn.list
             if issubclass(w.category, DeprecationWarning)
         ]
-
-    def test_run_jobs_batch_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_jobs\(batch=.*"):
-            result = run_jobs(_specs(), cache=ResultCache(), batch=1)
-        assert len(result.records) == 2
-
-    def test_run_sweep_deprecated_kwargs_warn(self):
-        sweep = SweepSpec.make(
-            "test_planarity", families=["grid"], ns=[36],
-            epsilon=[0.5], seeds=[0],
-        )
-        with pytest.warns(DeprecationWarning, match=r"run_sweep\(batch=.*"):
-            run_sweep(sweep, batch=1)
-        with pytest.warns(
-            DeprecationWarning, match=r"run_sweep\(batch_waste=.*"
-        ):
-            run_sweep(sweep, batch_waste=4.0)
-
-    def test_run_sweep_config_matches_deprecated_kwarg(self):
-        sweep = SweepSpec.make(
-            "test_planarity", families=["grid"], ns=[36, 64],
-            epsilon=[0.5], seeds=[0, 1],
-        )
-        via_config = run_sweep(sweep, config=RunConfig(sim_batch=2))
-        with pytest.warns(DeprecationWarning):
-            via_kwarg = run_sweep(sweep, batch=2)
-        assert via_config.records == via_kwarg.records
 
     def test_run_sweep_reads_env_through_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "2")

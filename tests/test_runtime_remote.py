@@ -22,12 +22,7 @@ from repro.runtime.codec import (
     encode_wire_frame,
     read_wire_frame,
 )
-from repro.runtime.remote import (
-    PROTOCOL_VERSION,
-    decode_frame,
-    encode_frame,
-    parse_endpoint,
-)
+from repro.runtime.remote import PROTOCOL_VERSION, parse_endpoint
 from repro.runtime.worker import serve_remote
 
 SPECS = [
@@ -104,9 +99,8 @@ def test_workers_share_store_and_records_land_once(tmp_path):
 
 
 def test_handshake_rejects_legacy_json_worker():
-    """A protocol-1 worker opens with a JSON line; the server must
-    answer in JSON (the only dialect it can read) and name the
-    protocol mismatch before closing."""
+    """A protocol-1 worker opens with a JSON line; its first bytes fail
+    the frame-magic check, so the server closes without a welcome."""
     backend = RemoteBackend(port=0)
     port = backend.bind()
     holder = {}
@@ -119,14 +113,14 @@ def test_handshake_rejects_legacy_json_worker():
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     reader = sock.makefile("rb")
     sock.sendall(
-        encode_frame(
-            {"op": "hello", "protocol": 1, "kinds": [], "store": None}
-        )
+        b'{"op":"hello","protocol":1,"kinds":[],"store":null}\n'
     )
-    reject = decode_frame(reader.readline())
+    try:
+        reply = reader.read()
+    except ConnectionResetError:
+        reply = b""
     sock.close()
-    assert reject["op"] == "reject"
-    assert "protocol mismatch" in reject["reason"]
+    assert reply == b"", "a JSON-line peer must get EOF, not a welcome"
     # A conforming worker still completes the batch afterwards.
     workers = _start_workers(port)
     consumer.join(15)
@@ -165,6 +159,9 @@ def test_handshake_rejects_protocol_mismatch():
 
 
 def test_handshake_rejects_missing_kinds():
+    """A worker lacking the batch's job kinds is admitted but never
+    handed a job; the batch completes on a capable worker, and the
+    under-equipped one is told to exit."""
     backend = RemoteBackend(port=0)
     port = backend.bind()
     holder = {}
@@ -186,14 +183,21 @@ def test_handshake_rejects_missing_kinds():
             }
         )
     )
-    reject = read_wire_frame(reader)
-    sock.close()
-    assert reject["op"] == "reject"
-    assert "missing job kinds" in reject["reason"]
+    assert read_wire_frame(reader)["op"] == "welcome"
     workers = _start_workers(port)
     consumer.join(15)
     assert not consumer.is_alive()
     _join(workers)
+    assert len(holder["batch"].records) == 1
+    ops = []
+    while True:
+        frame = read_wire_frame(reader)
+        if frame is None:
+            break
+        ops.append(frame["op"])
+    sock.close()
+    assert "job" not in ops
+    assert "exit" in ops
 
 
 def test_handshake_rejects_store_mismatch(tmp_path):
@@ -309,7 +313,7 @@ def test_late_worker_completes_waiting_jobs():
 
 def test_abort_wakes_a_blocked_stream():
     """Abandoning a batch mid-flight (ctrl-C, downstream error: the
-    generator's finally calls _request_abort) must not hang on the
+    generator's finally calls stop) must not hang on the
     server thread even with jobs queued and zero workers connected."""
     backend = RemoteBackend(port=0)
     backend.bind()
@@ -322,7 +326,7 @@ def test_abort_wakes_a_blocked_stream():
     consumer.start()
     time.sleep(0.5)  # blocked: jobs pending, no worker will ever join
     assert consumer.is_alive()
-    backend._request_abort()
+    backend.stop()
     consumer.join(10)
     assert not consumer.is_alive(), "abort did not wake the serve loop"
     assert len(holder["batch"].records) == 0

@@ -13,6 +13,7 @@ import json
 import os
 import socket
 import threading
+import time
 
 from repro.cli import main
 from repro.runtime import (
@@ -21,6 +22,7 @@ from repro.runtime import (
     JobSpec,
     RemoteBackend,
     ResultCache,
+    SweepService,
     SweepSpec,
     make_backend,
     run_jobs,
@@ -28,8 +30,15 @@ from repro.runtime import (
 )
 from repro.runtime.codec import encode_wire_frame, read_wire_frame
 from repro.runtime.remote import PROTOCOL_VERSION
+from repro.runtime.scheduler import COST_META_PREFIX
 from repro.runtime.worker import serve_remote
-from repro.telemetry import configure, read_events, read_metrics, top_spans
+from repro.telemetry import (
+    configure,
+    get_metrics,
+    read_events,
+    read_metrics,
+    top_spans,
+)
 import pytest
 
 SPECS = [
@@ -218,3 +227,64 @@ def test_remote_requeue_logs_partial_cost():
     assert not survivor.is_alive()
     assert len(holder["batch"].records) == len(SPECS)
     assert book.observations == len(SPECS) + 1
+
+
+def _serve_in_thread(port):
+    worker = threading.Thread(
+        target=serve_remote,
+        args=("127.0.0.1", port),
+        kwargs={"retry_seconds": 10.0},
+        daemon=True,
+    )
+    worker.start()
+    return worker
+
+
+def test_remote_sweep_cost_table_counts_each_job_once(tmp_path):
+    """The run's CostBook is the only writer of the store's cost table:
+    one observation per executed job, none flushed a second time by the
+    embedded service that dispatched them."""
+    store_dir = tmp_path / "store"
+    backend = RemoteBackend(port=0, store_dir=str(store_dir))
+    port = backend.bind()
+    workers = [_serve_in_thread(port) for _ in range(2)]
+    cache = ResultCache(disk_dir=store_dir)
+    result = run_sweep(SWEEP, backend=backend, cache=cache)
+    for worker in workers:
+        worker.join(15)
+        assert not worker.is_alive()
+    assert result.batch.executed == len(SPECS)
+    store = cache.store_backend
+    counts = [
+        store.get_meta(key)["count"]
+        for key in store.meta_keys()
+        if key.startswith(COST_META_PREFIX)
+    ]
+    assert counts, "the sweep flushed no cost cells"
+    assert sum(counts) == result.batch.executed
+
+
+def test_service_heartbeat_records_round_trip():
+    """An idle worker's ping/pong lands in the RTT histogram.  No trace
+    sink: the in-process worker would otherwise adopt (and reconfigure)
+    this process's tracer from the welcome frame."""
+    tracer = configure()
+    try:
+        with SweepService(port=0, heartbeat=0.05) as service:
+            worker = _serve_in_thread(service.bound_port)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if get_metrics().histogram("service.heartbeat_rtt_s"):
+                    break
+                time.sleep(0.02)
+        worker.join(15)
+        assert not worker.is_alive()
+        histogram = get_metrics().histogram("service.heartbeat_rtt_s")
+        assert histogram is not None and histogram.count >= 1
+        assert histogram.min >= 0.0
+        beats = [
+            ev for ev in tracer.drain() if ev.get("name") == "service.heartbeat"
+        ]
+        assert beats and all(ev["attrs"]["rtt_s"] >= 0.0 for ev in beats)
+    finally:
+        configure(enabled=False)
