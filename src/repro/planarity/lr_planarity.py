@@ -20,6 +20,21 @@ combinatorial embedding for each (planar) part, while the *distributed*
 round cost of the GH algorithm is charged analytically by the Stage II
 driver.
 
+The core, :func:`lr_rotations`, runs on int adjacency lists: nodes are
+``0..n-1``, oriented edges are ids ``0..m-1`` in orientation order, and
+every per-edge table (``lowpt``, ``lowpt2``, ``nesting_depth``, ``ref``,
+``side``, ``lowpt_edge``, ``stack_bottom``) is a list indexed by edge
+id.  A conflict pair is a 4-slot list ``[L.low, L.high, R.low, R.high]``
+with ``-1`` for a missing edge.  :func:`check_planarity` relabels a
+networkx graph onto that core and wraps the result as a
+:class:`RotationSystem`.
+
+Each node's rotation starts at a fixed entry: the parent's half-edge for
+a non-root node, the first outgoing edge in nesting order otherwise.
+Stage II starts the root's Euler tour at the first tree edge after that
+entry, so the start is part of the output contract, not an accident of
+the representation.
+
 All DFS phases are iterative, so graphs with deep DFS trees (paths,
 grids) do not hit Python's recursion limit.
 
@@ -32,60 +47,14 @@ basis of networkx's checker -- networkx is used in the test-suite as an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 import networkx as nx
 
 from ..errors import GraphInputError
 from .rotation import RotationSystem
 
-Edge = Tuple[Any, Any]
-
-
-class _Interval:
-    """An interval of back edges, identified by its low and high edges."""
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, low: Optional[Edge] = None, high: Optional[Edge] = None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interval({self.low}, {self.high})"
-
-
-class _ConflictPair:
-    """A pair of (left, right) intervals of back edges."""
-
-    __slots__ = ("L", "R")
-
-    def __init__(
-        self,
-        left: Optional[_Interval] = None,
-        right: Optional[_Interval] = None,
-    ):
-        self.L = left if left is not None else _Interval()
-        self.R = right if right is not None else _Interval()
-
-    def swap(self) -> None:
-        self.L, self.R = self.R, self.L
-
-    def lowest(self, lowpt: Dict[Edge, int]) -> int:
-        if self.L.empty():
-            return lowpt[self.R.low]
-        if self.R.empty():
-            return lowpt[self.L.low]
-        return min(lowpt[self.L.low], lowpt[self.R.low])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ConflictPair(L={self.L}, R={self.R})"
+_NONE = -1
 
 
 @dataclass
@@ -105,302 +74,318 @@ class PlanarityResult:
         return self.is_planar
 
 
-class _LRPlanarity:
-    """Single-use state machine for one planarity check."""
+def lr_rotations(adj: Sequence[Sequence[int]]) -> Optional[List[List[int]]]:
+    """LR planarity test on int adjacency lists.
 
-    def __init__(self, graph: nx.Graph):
-        if graph.is_directed() or graph.is_multigraph():
-            raise GraphInputError("planarity check requires a simple undirected graph")
-        if any(u == v for u, v in graph.edges()):
-            raise GraphInputError("planarity check does not support self-loops")
-        self.graph = graph
-        self.adjs: Dict[Any, List[Any]] = {
-            v: list(graph.neighbors(v)) for v in graph.nodes()
-        }
-        self.height: Dict[Any, Optional[int]] = {v: None for v in graph.nodes()}
-        self.parent_edge: Dict[Any, Optional[Edge]] = {v: None for v in graph.nodes()}
-        self.oriented_adj: Dict[Any, List[Any]] = {v: [] for v in graph.nodes()}
-        self.lowpt: Dict[Edge, int] = {}
-        self.lowpt2: Dict[Edge, int] = {}
-        self.nesting_depth: Dict[Edge, int] = {}
-        self.ref: Dict[Edge, Optional[Edge]] = {}
-        self.side: Dict[Edge, int] = {}
-        self.S: List[_ConflictPair] = []
-        self.stack_bottom: Dict[Edge, Optional[_ConflictPair]] = {}
-        self.lowpt_edge: Dict[Edge, Edge] = {}
-        self.ordered_adjs: Dict[Any, List[Any]] = {}
-        self.roots: List[Any] = []
-        self.embedding = RotationSystem()
-        self.left_ref: Dict[Any, Any] = {}
-        self.right_ref: Dict[Any, Any] = {}
+    *adj[v]* lists the neighbors of node ``v`` (``0 <= v < n``) of a
+    simple undirected graph; the iteration order of nodes and rows
+    decides the DFS and therefore the embedding.  Returns ``None`` when
+    the graph is not planar, else one clockwise rotation list per node
+    starting at its first entry (see the module docstring).
+    """
+    n = len(adj)
+    m = sum(map(len, adj)) // 2
+    if n > 2 and m > 3 * n - 6:
+        return None
+
+    etail = [0] * m
+    ehead = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    height = [_NONE] * n
+    parent_edge = [_NONE] * n
+    out: List[List[int]] = [[] for _ in range(n)]
+    roots: List[int] = []
 
     # -- phase 1: orientation --------------------------------------------------
-
-    def dfs_orientation(self, root: Any) -> None:
-        oriented = set()
-        dfs_stack = [root]
-        ind: Dict[Any, int] = {}
-        skip_init: Dict[Edge, bool] = {}
-
-        while dfs_stack:
-            v = dfs_stack.pop()
-            e = self.parent_edge[v]
-            adj = self.adjs[v]
-            i = ind.get(v, 0)
+    ind = [0] * n
+    resume = [_NONE] * n  # tree edge whose subtree just completed
+    count = 0
+    for root in range(n):
+        if height[root] != _NONE:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            parent = etail[e] if e != _NONE else _NONE
+            row = adj[v]
+            hv = height[v]
+            i = ind[v]
             descended = False
-            while i < len(adj):
-                w = adj[i]
-                vw = (v, w)
-                if not skip_init.get(vw, False):
-                    if (v, w) in oriented or (w, v) in oriented:
-                        i += 1
+            while i < len(row):
+                vw = resume[v]
+                if vw != _NONE:
+                    resume[v] = _NONE
+                else:
+                    w = row[i]
+                    hw = height[w]
+                    if hw != _NONE and (hw > hv or w == parent):
+                        i += 1  # oriented from w already
                         continue
-                    oriented.add(vw)
-                    self.oriented_adj[v].append(w)
-                    self.lowpt[vw] = self.height[v]
-                    self.lowpt2[vw] = self.height[v]
-                    self.ref[vw] = None
-                    self.side[vw] = 1
-                    if self.height[w] is None:  # tree edge: descend
-                        self.parent_edge[w] = vw
-                        self.height[w] = self.height[v] + 1
+                    vw = count
+                    count += 1
+                    etail[vw] = v
+                    ehead[vw] = w
+                    out[v].append(vw)
+                    lowpt[vw] = hv
+                    lowpt2[vw] = hv
+                    if hw == _NONE:  # tree edge: descend
+                        parent_edge[w] = vw
+                        height[w] = hv + 1
                         ind[v] = i
-                        skip_init[vw] = True
-                        dfs_stack.append(v)
-                        dfs_stack.append(w)
+                        resume[v] = vw
+                        stack.append(v)
+                        stack.append(w)
                         descended = True
                         break
-                    # back edge
-                    self.lowpt[vw] = self.height[w]
-                # postprocessing of edge vw (back edge now, or tree edge
+                    lowpt[vw] = hw  # back edge
+                # postprocessing of vw (a back edge now, or a tree edge
                 # after its subtree has completed)
-                self.nesting_depth[vw] = 2 * self.lowpt[vw]
-                if self.lowpt2[vw] < self.height[v]:  # chordal
-                    self.nesting_depth[vw] += 1
-                if e is not None:
-                    if self.lowpt[vw] < self.lowpt[e]:
-                        self.lowpt2[e] = min(self.lowpt[e], self.lowpt2[vw])
-                        self.lowpt[e] = self.lowpt[vw]
-                    elif self.lowpt[vw] > self.lowpt[e]:
-                        self.lowpt2[e] = min(self.lowpt2[e], self.lowpt[vw])
+                low = lowpt[vw]
+                nesting[vw] = 2 * low + (1 if lowpt2[vw] < hv else 0)
+                if e != _NONE:
+                    if low < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                        lowpt[e] = low
+                    elif low > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], low)
                     else:
-                        self.lowpt2[e] = min(self.lowpt2[e], self.lowpt2[vw])
+                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
                 i += 1
             if not descended:
                 ind[v] = i
 
     # -- phase 2: testing --------------------------------------------------------
+    ordered = [sorted(edges, key=nesting.__getitem__) for edges in out]
+    # One spare slot: the pseudocode may write ref of an absent edge
+    # (index -1), which is never read back.
+    ref = [_NONE] * (m + 1)
+    side = [1] * m
+    lowpt_edge = [_NONE] * m
+    stack_bottom: List[Optional[list]] = [None] * m
+    conflicts: List[list] = []
 
-    def _top(self) -> Optional[_ConflictPair]:
-        return self.S[-1] if self.S else None
+    def conflicting(low: int, high: int, b: int) -> bool:
+        return (low != _NONE or high != _NONE) and lowpt[high] > lowpt[b]
 
-    def _conflicting(self, interval: _Interval, b: Edge) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
+    def add_constraints(ei: int, e: int) -> bool:
+        p = [_NONE, _NONE, _NONE, _NONE]
+        # merge return edges of e_i into P.R
+        while True:
+            q = conflicts.pop()
+            if q[0] != _NONE or q[1] != _NONE:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if q[0] != _NONE or q[1] != _NONE:
+                return False  # non-planar
+            if lowpt[q[2]] > lowpt[e]:  # merge intervals
+                if p[2] == _NONE and p[3] == _NONE:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:  # align
+                ref[q[2]] = lowpt_edge[e]
+            top = conflicts[-1] if conflicts else None
+            if top is stack_bottom[ei]:
+                break
+        # merge conflicting return edges of e_1..e_{i-1} into P.L
+        while conflicts:
+            q = conflicts[-1]
+            if not (
+                conflicting(q[0], q[1], ei) or conflicting(q[2], q[3], ei)
+            ):
+                break
+            conflicts.pop()
+            if conflicting(q[2], q[3], ei):
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if conflicting(q[2], q[3], ei):
+                return False  # non-planar
+            # merge interval below lowpt(e_i) into P.R
+            ref[p[2]] = q[3]
+            if q[2] != _NONE:
+                p[2] = q[2]
+            if p[0] == _NONE and p[1] == _NONE:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p != [_NONE, _NONE, _NONE, _NONE]:
+            conflicts.append(p)
+        return True
 
-    def dfs_testing(self, root: Any) -> bool:
-        dfs_stack = [root]
-        ind: Dict[Any, int] = {}
-        skip_init: Dict[Edge, bool] = {}
+    def remove_back_edges(e: int) -> None:
+        u = etail[e]
+        hu = height[u]
+        # trim back edges ending at parent u: drop entire conflict pairs
+        # whose lowest return edge ends there
+        while conflicts:
+            q = conflicts[-1]
+            if q[0] == _NONE and q[1] == _NONE:
+                lowest = lowpt[q[2]]
+            elif q[2] == _NONE and q[3] == _NONE:
+                lowest = lowpt[q[0]]
+            else:
+                lowest = min(lowpt[q[0]], lowpt[q[2]])
+            if lowest != hu:
+                break
+            conflicts.pop()
+            if q[0] != _NONE:
+                side[q[0]] = -1
+        if conflicts:  # one more conflict pair to consider
+            q = conflicts[-1]
+            # trim left interval
+            while q[1] != _NONE and ehead[q[1]] == u:
+                q[1] = ref[q[1]]
+            if q[1] == _NONE and q[0] != _NONE:
+                ref[q[0]] = q[2]
+                side[q[0]] = -1
+                q[0] = _NONE
+            # trim right interval
+            while q[3] != _NONE and ehead[q[3]] == u:
+                q[3] = ref[q[3]]
+            if q[3] == _NONE and q[2] != _NONE:
+                ref[q[2]] = q[0]
+                side[q[2]] = -1
+                q[2] = _NONE
+        # side of e is the side of a highest return edge
+        if lowpt[e] < hu:  # e has a return edge
+            hl = conflicts[-1][1]
+            hr = conflicts[-1][3]
+            if hl != _NONE and (hr == _NONE or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
 
-        while dfs_stack:
-            v = dfs_stack.pop()
-            e = self.parent_edge[v]
-            adj = self.ordered_adjs[v]
-            i = ind.get(v, 0)
+    ind = [0] * n
+    skip = bytearray(m)
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            row = ordered[v]
+            hv = height[v]
+            i = ind[v]
             descended = False
-            while i < len(adj):
-                w = adj[i]
-                ei = (v, w)
-                if not skip_init.get(ei, False):
-                    self.stack_bottom[ei] = self._top()
-                    if ei == self.parent_edge[w]:  # tree edge: descend
+            while i < len(row):
+                ei = row[i]
+                if not skip[ei]:
+                    stack_bottom[ei] = conflicts[-1] if conflicts else None
+                    w = ehead[ei]
+                    if ei == parent_edge[w]:  # tree edge: descend
                         ind[v] = i
-                        skip_init[ei] = True
-                        dfs_stack.append(v)
-                        dfs_stack.append(w)
+                        skip[ei] = 1
+                        stack.append(v)
+                        stack.append(w)
                         descended = True
                         break
-                    # back edge
-                    self.lowpt_edge[ei] = ei
-                    self.S.append(_ConflictPair(right=_Interval(ei, ei)))
+                    lowpt_edge[ei] = ei  # back edge
+                    conflicts.append([_NONE, _NONE, ei, ei])
                 # integrate new return edges
-                if self.lowpt[ei] < self.height[v]:
-                    if w == adj[0]:  # first child/edge inherits directly
-                        self.lowpt_edge[e] = self.lowpt_edge[ei]
-                    elif not self.add_constraints(ei, e):
-                        return False  # non-planar
+                if lowpt[ei] < hv:
+                    if i == 0:  # first child/edge inherits directly
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None  # non-planar
                 i += 1
             if descended:
                 continue
             ind[v] = i
-            if e is not None:
-                self.remove_back_edges(e)
-        return True
-
-    def add_constraints(self, ei: Edge, e: Edge) -> bool:
-        P = _ConflictPair()
-        # merge return edges of e_i into P.R
-        while True:
-            Q = self.S.pop()
-            if not Q.L.empty():
-                Q.swap()
-            if not Q.L.empty():
-                return False  # non-planar
-            if self.lowpt[Q.R.low] > self.lowpt[e]:
-                # merge intervals
-                if P.R.empty():
-                    P.R.high = Q.R.high
-                else:
-                    self.ref[P.R.low] = Q.R.high
-                P.R.low = Q.R.low
-            else:
-                # align
-                self.ref[Q.R.low] = self.lowpt_edge[e]
-            if self._top() is self.stack_bottom[ei]:
-                break
-        # merge conflicting return edges of e_1..e_{i-1} into P.L
-        while self._conflicting(self._top().L, ei) or self._conflicting(
-            self._top().R, ei
-        ):
-            Q = self.S.pop()
-            if self._conflicting(Q.R, ei):
-                Q.swap()
-            if self._conflicting(Q.R, ei):
-                return False  # non-planar
-            # merge interval below lowpt(e_i) into P.R
-            self.ref[P.R.low] = Q.R.high
-            if Q.R.low is not None:
-                P.R.low = Q.R.low
-            if P.L.empty():
-                P.L.high = Q.L.high
-            else:
-                self.ref[P.L.low] = Q.L.high
-            P.L.low = Q.L.low
-        if not (P.L.empty() and P.R.empty()):
-            self.S.append(P)
-        return True
-
-    def remove_back_edges(self, e: Edge) -> None:
-        u = e[0]
-        # trim back edges ending at parent u: drop entire conflict pairs
-        while self.S and self.S[-1].lowest(self.lowpt) == self.height[u]:
-            P = self.S.pop()
-            if P.L.low is not None:
-                self.side[P.L.low] = -1
-        if self.S:  # one more conflict pair to consider
-            P = self.S.pop()
-            # trim left interval
-            while P.L.high is not None and P.L.high[1] == u:
-                P.L.high = self.ref[P.L.high]
-            if P.L.high is None and P.L.low is not None:
-                self.ref[P.L.low] = P.R.low
-                self.side[P.L.low] = -1
-                P.L.low = None
-            # trim right interval
-            while P.R.high is not None and P.R.high[1] == u:
-                P.R.high = self.ref[P.R.high]
-            if P.R.high is None and P.R.low is not None:
-                self.ref[P.R.low] = P.L.low
-                self.side[P.R.low] = -1
-                P.R.low = None
-            self.S.append(P)
-        # side of e is the side of a highest return edge
-        if self.lowpt[e] < self.height[u]:  # e has return edge
-            top = self.S[-1]
-            hl = top.L.high
-            hr = top.R.high
-            if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                self.ref[e] = hl
-            else:
-                self.ref[e] = hr
+            if e != _NONE:
+                remove_back_edges(e)
 
     # -- phase 3: embedding -------------------------------------------------------
+    for e in range(m):
+        # resolve the absolute side of e through its ref chain
+        cur = ref[e]
+        if cur != _NONE:
+            chain = [e]
+            while ref[cur] != _NONE:
+                chain.append(cur)
+                cur = ref[cur]
+            for edge in reversed(chain):
+                side[edge] *= side[ref[edge]]
+                ref[edge] = _NONE
+        if side[e] < 0:
+            nesting[e] = -nesting[e]
 
-    def _resolve_side(self, e: Edge) -> int:
-        """Resolve the absolute side of *e* through its ref chain."""
-        chain: List[Edge] = []
-        cur: Optional[Edge] = e
-        while cur is not None and self.ref[cur] is not None:
-            chain.append(cur)
-            cur = self.ref[cur]
-        for edge in reversed(chain):
-            parent = self.ref[edge]
-            self.side[edge] = self.side[edge] * self.side[parent]
-            self.ref[edge] = None
-        return self.side[e]
+    # Half-edge h < m is oriented edge h; h + m is its reverse.  Each
+    # rotation is a circular doubly linked list over half-edge ids.
+    cw = [0] * (2 * m)
+    ccw = [0] * (2 * m)
+    first = [_NONE] * n
+    ordered = [sorted(edges, key=nesting.__getitem__) for edges in out]
+    for v, edges in enumerate(ordered):
+        k = len(edges)
+        if k:
+            first[v] = edges[0]
+            for j, h in enumerate(edges):
+                cw[h] = edges[(j + 1) % k]
+                ccw[h] = edges[j - 1]
 
-    def dfs_embedding(self, root: Any) -> None:
-        dfs_stack = [root]
-        ind: Dict[Any, int] = {}
-
-        while dfs_stack:
-            v = dfs_stack.pop()
-            adj = self.ordered_adjs[v]
-            i = ind.get(v, 0)
+    left_ref = [_NONE] * n
+    right_ref = [_NONE] * n
+    ind = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            row = ordered[v]
+            i = ind[v]
             descended = False
-            while i < len(adj):
-                w = adj[i]
+            while i < len(row):
+                ei = row[i]
                 i += 1
-                ei = (v, w)
-                if ei == self.parent_edge[w]:  # tree edge
-                    self.embedding.add_half_edge_first(w, v)
-                    self.left_ref[v] = w
-                    self.right_ref[v] = w
+                w = ehead[ei]
+                twin = ei + m
+                if ei == parent_edge[w]:  # tree edge: parent becomes first
+                    at = first[w]
+                    if at == _NONE:
+                        cw[twin] = ccw[twin] = twin
+                    else:  # counterclockwise-before the old first entry
+                        prev = ccw[at]
+                        cw[prev] = ccw[at] = twin
+                        cw[twin] = at
+                        ccw[twin] = prev
+                    first[w] = twin
+                    left_ref[v] = right_ref[v] = ei
                     ind[v] = i
-                    dfs_stack.append(v)
-                    dfs_stack.append(w)
+                    stack.append(v)
+                    stack.append(w)
                     descended = True
                     break
-                # back edge: insert the reversed half-edge at the ancestor
-                if self.side[ei] == 1:
-                    self.embedding.add_half_edge_cw(w, v, self.right_ref[w])
+                # back edge: insert the reversed half-edge at the ancestor,
+                # clockwise-after right_ref (side +1) or counterclockwise-
+                # before left_ref (side -1)
+                if side[ei] == 1:
+                    at = right_ref[w]
                 else:
-                    self.embedding.add_half_edge_ccw(w, v, self.left_ref[w])
-                    self.left_ref[w] = v
+                    at = ccw[left_ref[w]]
+                    left_ref[w] = twin
+                nxt = cw[at]
+                cw[at] = ccw[nxt] = twin
+                cw[twin] = nxt
+                ccw[twin] = at
             if not descended:
                 ind[v] = i
 
-    # -- driver ---------------------------------------------------------------
-
-    def run(self) -> PlanarityResult:
-        n = self.graph.number_of_nodes()
-        m = self.graph.number_of_edges()
-        if n > 2 and m > 3 * n - 6:
-            return PlanarityResult(False, None)
-
-        # Phase 1 on every component.
-        for v in self.graph.nodes():
-            if self.height[v] is None:
-                self.height[v] = 0
-                self.roots.append(v)
-                self.dfs_orientation(v)
-
-        # Phase 2.
-        for v in self.graph.nodes():
-            self.ordered_adjs[v] = sorted(
-                self.oriented_adj[v], key=lambda w, v=v: self.nesting_depth[(v, w)]
-            )
-        for root in self.roots:
-            if not self.dfs_testing(root):
-                return PlanarityResult(False, None)
-
-        # Phase 3: apply signs, re-sort, and build the rotation system.
-        for v in self.graph.nodes():
-            for w in self.oriented_adj[v]:
-                e = (v, w)
-                self.nesting_depth[e] *= self._resolve_side(e)
-        for v in self.graph.nodes():
-            self.ordered_adjs[v] = sorted(
-                self.oriented_adj[v], key=lambda w, v=v: self.nesting_depth[(v, w)]
-            )
-            self.embedding.add_node(v)
-            previous = None
-            for w in self.ordered_adjs[v]:
-                self.embedding.add_half_edge_cw(v, w, previous)
-                previous = w
-        for root in self.roots:
-            self.dfs_embedding(root)
-        return PlanarityResult(True, self.embedding)
+    rotations: List[List[int]] = []
+    for v in range(n):
+        start = first[v]
+        rot: List[int] = []
+        if start != _NONE:
+            h = start
+            while True:
+                rot.append(ehead[h] if h < m else etail[h - m])
+                h = cw[h]
+                if h == start:
+                    break
+        rotations.append(rot)
+    return rotations
 
 
 def check_planarity(graph: nx.Graph) -> PlanarityResult:
@@ -411,7 +396,23 @@ def check_planarity(graph: nx.Graph) -> PlanarityResult:
     :func:`repro.planarity.embedding.verify_planar_embedding` for an
     independent Euler-formula certificate.
     """
-    return _LRPlanarity(graph).run()
+    if graph.is_directed() or graph.is_multigraph():
+        raise GraphInputError("planarity check requires a simple undirected graph")
+    nodes = list(graph)
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = []
+    for v in nodes:
+        row = graph._adj[v]
+        if v in row:
+            raise GraphInputError("planarity check does not support self-loops")
+        adj.append([index[w] for w in row])
+    rotations = lr_rotations(adj)
+    if rotations is None:
+        return PlanarityResult(False, None)
+    embedding = RotationSystem()
+    for v, rot in zip(nodes, rotations):
+        embedding.set_rotation(v, [nodes[w] for w in rot])
+    return PlanarityResult(True, embedding)
 
 
 def is_planar(graph: nx.Graph) -> bool:

@@ -339,7 +339,6 @@ def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
         ),
         collect_exact_violations=params.get("collect_exact_violations", False),
         engine=params.get("engine"),
-        native=params.get("native", True),
     )
     result = test_planarity(graph, seed=spec.seed, config=config)
     return {

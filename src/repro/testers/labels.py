@@ -9,18 +9,201 @@ of the edge labels on its root path; lexicographic order over labels is
 exactly DFS preorder of ``T_B`` with children visited in rotation order,
 so we assign each node its preorder *rank* -- an equivalent, compact
 representation of the order.
+
+Stage II runs the ``*_int`` cores on int ids: node ``v`` is ``0..n-1``,
+``adj[v]`` and ``rot[v]`` are neighbor-index lists, ``parent[v]`` is an
+index or ``-1`` at the root, and a half-edge ``(v, w)`` is keyed
+``v * n + w``.  The label-keyed functions (``deterministic_bfs_tree``,
+``embedding_ranks``, ``euler_tour_positions`` and the interval
+builders) relabel a networkx graph in its node order, run the same
+cores, and map the results back.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from ..errors import GraphInputError
 from ..graphs.utils import id_key
 from ..planarity.rotation import RotationSystem
+
+IntervalInt = Tuple[int, int, int, int]
+
+
+# -- int cores ---------------------------------------------------------------
+
+
+def id_keys(nodes: Sequence[Any]) -> Sequence[Any]:
+    """Per-index sort keys realizing :func:`id_key` order on *nodes*."""
+    if all(type(v) is int for v in nodes):
+        return nodes
+    return [id_key(v) for v in nodes]
+
+
+def bfs_tree_int(
+    adj: Sequence[Sequence[int]], root: int, keys: Sequence[Any]
+) -> Tuple[List[int], List[int], List[int]]:
+    """The Section 2.2.1 BFS tree on int ids: ``(parent, depth, order)``.
+
+    A node at depth ``d + 1`` takes the announcing depth-``d`` neighbor
+    with the smallest ``keys`` entry as its parent (see
+    :func:`deterministic_bfs_tree`); *order* is the BFS discovery order.
+    """
+    n = len(adj)
+    depth = [-1] * n
+    parent = [-1] * n
+    depth[root] = 0
+    order = [root]
+    for v in order:
+        d = depth[v] + 1
+        key = keys[v]
+        for w in adj[v]:
+            dw = depth[w]
+            if dw < 0:
+                depth[w] = d
+                parent[w] = v
+                order.append(w)
+            elif dw == d and key < keys[parent[w]]:
+                parent[w] = v
+    if len(order) != n:
+        raise GraphInputError("BFS labeling requires a connected part")
+    return parent, depth, order
+
+
+def _after_parent(rot: Sequence[int], parent: int) -> List[int]:
+    """*rot* read clockwise from just after *parent* (excluded)."""
+    idx = rot.index(parent)
+    return list(rot[idx + 1 :]) + list(rot[:idx])
+
+
+def preorder_ranks_int(
+    rot: Sequence[Sequence[int]], root: int, parent: Sequence[int]
+) -> List[int]:
+    """Preorder rank per node under the rotation-ordered DFS of ``T_B``."""
+    n = len(rot)
+    ranks = [-1] * n
+    counter = 0
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        ranks[v] = counter
+        counter += 1
+        p = parent[v]
+        ordered = rot[v] if p < 0 else _after_parent(rot[v], p)
+        # Push children in reverse so the first child is visited first.
+        stack.extend(reversed([w for w in ordered if parent[w] == v]))
+    if counter != n:
+        raise GraphInputError(
+            "rotation order did not reach every node; embedding does not "
+            "match the part"
+        )
+    return ranks
+
+
+def euler_positions_int(
+    rot: Sequence[Sequence[int]], root: int, parent: Sequence[int]
+) -> Tuple[Dict[int, int], int]:
+    """Corner positions of non-tree half-edges along the Euler tour.
+
+    The walk leaves the root along the first tree edge of ``rot[root]``
+    and, at every node, scans the rotation clockwise from the edge it
+    arrived by: a child's tree edge is descended, every other entry
+    (except the parent's) is a non-tree half-edge and takes the next
+    position.  The gap before the root's first tree edge is scanned
+    last.  Returns ``({v * n + w: position}, total)``.
+    """
+    n = len(rot)
+    positions: Dict[int, int] = {}
+    if n <= 1:
+        return positions, 0
+    root_rot = rot[root]
+    first = next(i for i, w in enumerate(root_rot) if parent[w] == root)
+    stack = [(root, list(root_rot[first:]) + list(root_rot[:first]), 0)]
+    counter = 0
+    descents = 0
+    while stack:
+        v, ordered, i = stack.pop()
+        base = v * n
+        while i < len(ordered):
+            w = ordered[i]
+            i += 1
+            if parent[w] == v:  # tree edge to a child: descend
+                stack.append((v, ordered, i))
+                stack.append((w, _after_parent(rot[w], v), 0))
+                descents += 1
+                break
+            positions[base + w] = counter
+            counter += 1
+    if descents != n - 1:
+        raise GraphInputError("Euler tour missed a tree edge")
+    return positions, counter
+
+
+def non_tree_edges_int(
+    adj: Sequence[Sequence[int]], parent: Sequence[int]
+) -> List[Tuple[int, int]]:
+    """Non-tree edges ``(u, v)``, ``u < v``, in networkx edge order."""
+    return [
+        (u, v)
+        for u, row in enumerate(adj)
+        for v in row
+        if v > u and parent[u] != v and parent[v] != u
+    ]
+
+
+def corner_intervals_int(
+    adj: Sequence[Sequence[int]],
+    parent: Sequence[int],
+    positions: Dict[int, int],
+) -> List[IntervalInt]:
+    """Non-tree edges as corner-position intervals ``(a, b, u, v)``, a < b."""
+    n = len(adj)
+    out: List[IntervalInt] = []
+    for u, v in non_tree_edges_int(adj, parent):
+        a, b = positions[u * n + v], positions[v * n + u]
+        out.append((a, b, u, v) if a < b else (b, a, v, u))
+    return out
+
+
+def rank_intervals_int(
+    adj: Sequence[Sequence[int]],
+    parent: Sequence[int],
+    ranks: Sequence[int],
+) -> List[IntervalInt]:
+    """Non-tree edges as preorder-rank intervals ``(a, b, u, v)``, a < b."""
+    out: List[IntervalInt] = []
+    for u, v in non_tree_edges_int(adj, parent):
+        a, b = ranks[u], ranks[v]
+        out.append((a, b, u, v) if a < b else (b, a, v, u))
+    return out
+
+
+# -- label-keyed forms -------------------------------------------------------
+
+
+class _Relabel:
+    """A networkx graph in int form, nodes numbered in graph order."""
+
+    def __init__(self, graph: nx.Graph, parents: Optional[Dict] = None):
+        self.nodes = list(graph)
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        index = self.index
+        self.adj = [[index[w] for w in graph.adj[v]] for v in self.nodes]
+        if parents is not None:
+            self.parent = [
+                -1 if parents.get(v) is None else index[parents[v]]
+                for v in self.nodes
+            ]
+
+    def rotations(self, rotation: RotationSystem) -> List[List[int]]:
+        index = self.index
+        return [[index[w] for w in rotation.rotation(v)] for v in self.nodes]
+
+    def intervals(self, found: List[IntervalInt]) -> List[Tuple[int, int, Any, Any]]:
+        nodes = self.nodes
+        return [(a, b, nodes[u], nodes[v]) for a, b, u, v in found]
 
 
 def deterministic_bfs_tree(
@@ -32,25 +215,17 @@ def deterministic_bfs_tree(
     depth ``d + 1`` picks the minimum-id announcing neighbor as its
     parent -- the same rule as :class:`repro.congest.programs.bfs`.
 
-    Returns (parents, depths); ``parents[root] is None``.
+    Returns (parents, depths) in BFS order; ``parents[root] is None``.
     """
-    depths = {root: 0}
-    order = deque([root])
-    while order:
-        v = order.popleft()
-        for w in graph.adj[v]:
-            if w not in depths:
-                depths[w] = depths[v] + 1
-                order.append(w)
-    if len(depths) != graph.number_of_nodes():
-        raise GraphInputError("BFS labeling requires a connected part")
-    parents: Dict[Any, Optional[Any]] = {root: None}
-    for v, d in depths.items():
-        if v == root:
-            continue
-        candidates = [w for w in graph.adj[v] if depths[w] == d - 1]
-        parents[v] = min(candidates, key=id_key)
-    return parents, depths
+    form = _Relabel(graph)
+    nodes = form.nodes
+    parent, depth, order = bfs_tree_int(
+        form.adj, form.index[root], id_keys(nodes)
+    )
+    parents = {
+        nodes[v]: None if parent[v] < 0 else nodes[parent[v]] for v in order
+    }
+    return parents, {nodes[v]: depth[v] for v in order}
 
 
 def children_in_rotation_order(
@@ -66,11 +241,7 @@ def children_in_rotation_order(
     """
     rot = rotation.rotation(v)
     parent = parents[v]
-    if parent is None:
-        ordered = rot
-    else:
-        idx = rot.index(parent)
-        ordered = rot[idx + 1 :] + rot[:idx]
+    ordered = rot if parent is None else _after_parent(rot, parent)
     return [w for w in ordered if parents.get(w) == v]
 
 
@@ -87,22 +258,12 @@ def embedding_ranks(
     then rank(u) < rank(v)); otherwise the first differing edge label
     orders the subtrees exactly as rotation-ordered DFS does.
     """
-    ranks: Dict[Any, int] = {}
-    counter = 0
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        ranks[v] = counter
-        counter += 1
-        # Push children in reverse so the first child is visited first.
-        for child in reversed(children_in_rotation_order(rotation, parents, v)):
-            stack.append(child)
-    if len(ranks) != graph.number_of_nodes():
-        raise GraphInputError(
-            "rotation order did not reach every node; embedding does not "
-            "match the part"
-        )
-    return ranks
+    form = _Relabel(graph, parents)
+    ranks = preorder_ranks_int(
+        form.rotations(rotation), form.index[root], form.parent
+    )
+    by_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
+    return {form.nodes[v]: ranks[v] for v in by_rank}
 
 
 def non_tree_intervals(
@@ -115,16 +276,9 @@ def non_tree_intervals(
     Definition 7 orients each edge so the smaller label comes first; the
     returned tuples keep the original endpoints for reporting.
     """
-    intervals: List[Tuple[int, int, Any, Any]] = []
-    for u, v in graph.edges():
-        if parents.get(u) == v or parents.get(v) == u:
-            continue
-        a, b = ranks[u], ranks[v]
-        if a > b:
-            a, b = b, a
-            u, v = v, u
-        intervals.append((a, b, u, v))
-    return intervals
+    form = _Relabel(graph, parents)
+    int_ranks = [ranks[v] for v in form.nodes]
+    return form.intervals(rank_intervals_int(form.adj, form.parent, int_ranks))
 
 
 def max_label_length(depths: Dict[Any, int]) -> int:
@@ -162,58 +316,18 @@ def euler_tour_positions(
         non-tree half-edge ``(v, x)``; ``total`` is the number of
         positions assigned (= 2 * number of non-tree edges).
     """
-    n = graph.number_of_nodes()
-    positions: Dict[Tuple[Any, Any], int] = {}
+    form = _Relabel(graph, parents)
+    n = len(form.nodes)
     if n <= 1:
-        return positions, 0
-
-    def is_tree(v: Any, w: Any) -> bool:
-        return parents.get(v) == w or parents.get(w) == v
-
-    rotations = {v: rotation.rotation(v) for v in graph.nodes()}
-    index_of = {
-        v: {w: i for i, w in enumerate(rot)} for v, rot in rotations.items()
-    }
-    counter = 0
-
-    # Start by traversing the first tree edge of the root's rotation; the
-    # gap preceding it is scanned on the final return.
-    root_rot = rotations[root]
-    first_tree_index = next(
-        i for i, w in enumerate(root_rot) if is_tree(root, w)
+        return {}, 0
+    found, total = euler_positions_int(
+        form.rotations(rotation), form.index[root], form.parent
     )
-    current, incoming = root_rot[first_tree_index], root
-    traversed = 1
-    total_tree_half_edges = 2 * (n - 1)
-
-    while traversed < total_tree_half_edges:
-        rot = rotations[current]
-        i = index_of[current][incoming]
-        while True:
-            i = (i + 1) % len(rot)
-            w = rot[i]
-            if is_tree(current, w):
-                current, incoming = w, current
-                traversed += 1
-                break
-            positions[(current, w)] = counter
-            counter += 1
-
-    # Final gap at the root: from after the last incoming edge up to (and
-    # excluding) the starting tree edge.
-    if current != root:
-        raise GraphInputError("Euler tour did not return to the root")
-    i = index_of[root][incoming]
-    while True:
-        i = (i + 1) % len(root_rot)
-        if i == first_tree_index:
-            break
-        w = root_rot[i]
-        if is_tree(root, w):
-            raise GraphInputError("Euler tour missed a tree edge")
-        positions[(root, w)] = counter
-        counter += 1
-    return positions, counter
+    nodes = form.nodes
+    positions = {
+        (nodes[key // n], nodes[key % n]): pos for key, pos in found.items()
+    }
+    return positions, total
 
 
 def corner_intervals(
@@ -226,13 +340,12 @@ def corner_intervals(
     All 2k endpoints are distinct, so interlacement is exactly strict
     alternation around the disk boundary.
     """
-    intervals: List[Tuple[int, int, Any, Any]] = []
-    for u, v in graph.edges():
-        if parents.get(u) == v or parents.get(v) == u:
-            continue
-        a, b = positions[(u, v)], positions[(v, u)]
-        if a > b:
-            a, b = b, a
-            u, v = v, u
-        intervals.append((a, b, u, v))
-    return intervals
+    form = _Relabel(graph, parents)
+    n = len(form.nodes)
+    index = form.index
+    int_positions = {
+        index[v] * n + index[w]: pos for (v, w), pos in positions.items()
+    }
+    return form.intervals(
+        corner_intervals_int(form.adj, form.parent, int_positions)
+    )

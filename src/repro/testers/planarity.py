@@ -50,9 +50,7 @@ class PlanarityTestConfig:
             (analysis mode, used by benchmarks).
         engine: Stage I partition engine (``"auto"``/``"dense"``/
             ``"legacy"``; ``None`` consults ``REPRO_PARTITION_ENGINE``).
-        native: CSR-native Stage II pipeline (see
-            :class:`Stage2Config.native`).  Both knobs change wall-clock
-            only, never results.
+            Changes wall-clock only, never results.
     """
 
     epsilon: float = 0.1
@@ -64,7 +62,6 @@ class PlanarityTestConfig:
     reject_on_embedding_failure: bool = False
     collect_exact_violations: bool = False
     engine: Optional[str] = None
-    native: bool = True
 
     def stage2(self) -> Stage2Config:
         """The Stage II view of this configuration."""
@@ -73,7 +70,6 @@ class PlanarityTestConfig:
             sample_constant=self.sample_constant,
             reject_on_embedding_failure=self.reject_on_embedding_failure,
             collect_exact_violations=self.collect_exact_violations,
-            native=self.native,
         )
 
 
@@ -95,11 +91,7 @@ def stage2_over_partition(
     verdicts = []
     rejecting = []
     max_part_rounds = 0
-    subgraphs = (
-        extract_part_subgraphs(graph, partition)
-        if stage2_config.native
-        else {}
-    )
+    subgraphs = extract_part_subgraphs(graph, partition)
     for pid in sorted(partition.parts, key=repr):
         part = partition.parts[pid]
         rng = derive_rng(seed, repr(pid), "stage2")
@@ -110,7 +102,7 @@ def stage2_over_partition(
             rng=rng,
             config=stage2_config,
             cost_model=model,
-            subgraph=subgraphs.get(pid),
+            subgraph=subgraphs[pid],
         )
         verdicts.append(verdict)
         max_part_rounds = max(max_part_rounds, verdict.rounds)

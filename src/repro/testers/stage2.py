@@ -27,21 +27,24 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, List, Optional
 
 import networkx as nx
 
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..partition.parts import Part
-from ..planarity.embedding import identity_rotation
-from ..planarity.lr_planarity import check_planarity
+# Stage II's LR entry.  It keeps the ``check_planarity`` name so that
+# hooks installed on ``repro.testers.stage2.check_planarity`` (perfbench's
+# ``planarity.lr`` span) see every embedding call.
+from ..planarity.lr_planarity import lr_rotations as check_planarity
+from ..telemetry import get_tracer
 from .labels import (
-    corner_intervals,
-    deterministic_bfs_tree,
-    embedding_ranks,
-    euler_tour_positions,
-    max_label_length,
-    non_tree_intervals,
+    bfs_tree_int,
+    corner_intervals_int,
+    euler_positions_int,
+    id_keys,
+    preorder_ranks_int,
+    rank_intervals_int,
 )
 from .results import PartVerdict
 from .violations import sample_and_detect, violating_mask
@@ -73,14 +76,6 @@ class Stage2Config:
             LR oracle's verdict (DESIGN.md substitution 1).
         collect_exact_violations: also compute the exact violating-edge
             count per part (analysis only; used by benchmark E13).
-        native: run the CSR-native Stage II pipeline -- parts are
-            extracted into concrete subgraphs in one pass over the
-            parent adjacency (preserving its iteration order, so the
-            embedding and every downstream label is unchanged) and
-            sampled interlacements resolve against the Fenwick sweep
-            instead of the ``O(s*k)`` pairwise scan.  ``False`` keeps
-            the seed path (networkx subgraph views) as the
-            differential-testing reference; verdicts are identical.
     """
 
     epsilon: float = 0.1
@@ -88,45 +83,49 @@ class Stage2Config:
     criterion: str = "corner"
     reject_on_embedding_failure: bool = False
     collect_exact_violations: bool = False
-    native: bool = True
 
 
-def extract_part_subgraphs(graph: nx.Graph, partition) -> dict:
-    """Concrete induced subgraphs of every part, in one pass over *graph*.
+class PartGraph:
+    """One part's induced subgraph on int ids.
 
-    The seed examined each part through ``graph.subgraph(nodes)`` views,
-    paying a parent-dict filter on every adjacency access, node scan,
-    and edge count -- multiplied across BFS, the LR embedding's DFS
-    sweeps, the Euler tour, and interval enumeration.  This builds all
-    parts' subgraphs in a single O(n + m) sweep instead.
-
-    The copies share the parent's node/edge data dicts (exactly the
-    view's semantics) and preserve the *view's* node and per-row
-    adjacency iteration order -- each part is materialized by walking
-    its view exactly once (networkx filter atlases choose between
-    parent-order and filter-set-order iteration depending on relative
-    sizes, so only the view itself is an authoritative order source).
-    Every order-sensitive consumer -- most importantly the LR embedding,
-    whose rotation system drives the corner labels and therefore the
-    sampled intervals -- then sees the same sequence it would through
-    the view and produces identical output, while all subsequent passes
-    (BFS, DFS sweeps, Euler tour, edge counts) run on concrete dicts.
-
-    Returns a mapping ``pid -> networkx.Graph``.
+    ``nodes[i]`` is the label of node ``i``, ``index`` inverts it, and
+    ``adj[i]`` lists the neighbor ids of ``i``; ``m`` counts edges.
+    Node ids follow the iteration order of ``graph.subgraph(nodes)``
+    and every row keeps the parent graph's adjacency order, so each
+    order-sensitive step (BFS, LR, the Euler tour, edge enumeration)
+    sees the sequence the subgraph view would give it.
     """
-    node_data = graph._node
-    subs: dict = {}
-    for pid, part in partition.parts.items():
-        view = graph.subgraph(part.nodes)
-        sub = nx.Graph()
-        node_store = sub._node
-        adj_store = sub._adj
-        view_adj = view._adj
-        for u in view:
-            node_store[u] = node_data[u]
-            adj_store[u] = dict(view_adj[u])
-        subs[pid] = sub
-    return subs
+
+    __slots__ = ("nodes", "index", "adj", "m")
+
+    def __init__(self, graph: nx.Graph, nodes) -> None:
+        parent_adj = graph._adj
+        # The view's node order: networkx iterates its member set when
+        # that is under half the graph, else the graph's node order.
+        order = list(graph.subgraph(nodes))
+        index: Dict[Any, int] = {v: i for i, v in enumerate(order)}
+        adj: List[List[int]] = [
+            [index[w] for w in parent_adj[v] if w in index] for v in order
+        ]
+        self.nodes = order
+        self.index = index
+        self.adj = adj
+        self.m = sum(map(len, adj)) // 2
+
+
+def extract_part_subgraphs(graph: nx.Graph, partition) -> Dict[Any, PartGraph]:
+    """Every part's induced subgraph as a :class:`PartGraph`.
+
+    One pass over each part's rows of the parent adjacency; every later
+    Stage II step (BFS, LR, the Euler tour, edge enumeration) then runs
+    on int lists instead of filtering the parent graph on each access.
+
+    Returns a mapping ``pid -> PartGraph``.
+    """
+    return {
+        pid: PartGraph(graph, part.nodes)
+        for pid, part in partition.parts.items()
+    }
 
 
 def sample_size(n_total: int, config: Stage2Config) -> int:
@@ -149,24 +148,28 @@ def test_part(
     config: Stage2Config,
     ledger: Optional[RoundLedger] = None,
     cost_model: Optional[TreeCostModel] = None,
-    subgraph: Optional[nx.Graph] = None,
+    subgraph: Optional[PartGraph] = None,
 ) -> PartVerdict:
     """Run Stage II on one part; return its verdict.
 
     *graph* is the full graph; the part's induced subgraph is examined.
-    *subgraph* may supply a pre-extracted concrete copy of that induced
-    subgraph (same node/adjacency iteration order as the view -- see
-    :func:`extract_part_subgraphs`); the default view keeps every
-    adjacency access filtering through the parent graph.
+    *subgraph* may supply it pre-extracted (see
+    :func:`extract_part_subgraphs`).  With telemetry on, the embedding,
+    label and sampling steps open ``stage2.embed``, ``stage2.labels``
+    and ``stage2.sample`` spans whose ``rounds`` attribute is the
+    ledger charge made inside them.
     """
     model = cost_model or TreeCostModel()
     local = RoundLedger()
-    sub = graph.subgraph(part.nodes) if subgraph is None else subgraph
-    n, m = sub.number_of_nodes(), sub.number_of_edges()
+    sub = PartGraph(graph, part.nodes) if subgraph is None else subgraph
+    adj = sub.adj
+    n, m = len(adj), sub.m
+    root = sub.index[part.root]
+    tracer = get_tracer()
 
     # 1. BFS tree + counts (Section 2.2.1).
-    parents, depths = deterministic_bfs_tree(sub, part.root)
-    depth = max(depths.values(), default=0)
+    parent, depths, _order = bfs_tree_int(adj, root, id_keys(sub.nodes))
+    depth = max(depths, default=0)
     local.charge(depth + 1, "stage2.bfs", f"BFS tree of depth {depth}")
     local.charge(
         model.convergecast(depth, 2) + model.broadcast(depth, 2),
@@ -196,66 +199,68 @@ def test_part(
         return verdict(False, "density", False, 0, None)
 
     # 3. Embedding (GH in the paper; LR here, GH round cost charged).
-    diameter_bound = max(1, 2 * depth)
-    local.charge(
-        diameter_bound + min(math.ceil(math.log2(max(n, 2))), diameter_bound),
-        "stage2.embedding",
-        f"planar embedding, D<={diameter_bound} (Ghaffari-Haeupler bound)",
-    )
-    lr = check_planarity(sub)
-    if lr.is_planar:
-        rotation = lr.embedding
-        embedding_planar = True
-    else:
-        if config.reject_on_embedding_failure:
-            return verdict(False, "embedding", False, 0, None)
-        rotation = identity_rotation(sub)
-        embedding_planar = False
+    with tracer.span("stage2.embed", pid=part.pid) as span:
+        diameter_bound = max(1, 2 * depth)
+        span.set(
+            rounds=local.charge(
+                diameter_bound
+                + min(math.ceil(math.log2(max(n, 2))), diameter_bound),
+                "stage2.embedding",
+                f"planar embedding, D<={diameter_bound} (Ghaffari-Haeupler bound)",
+            )
+        )
+        rotation = check_planarity(adj)
+        embedding_planar = rotation is not None
+        if not embedding_planar:
+            if config.reject_on_embedding_failure:
+                return verdict(False, "embedding", False, 0, None)
+            # The id-sorted fallback of ``identity_rotation``.
+            keys = [repr(v) for v in sub.nodes]
+            rotation = [sorted(row, key=keys.__getitem__) for row in adj]
 
     # 4. Labels: corner positions on the tree's Euler tour (default) or
     # the paper-literal preorder ranks.
-    if config.criterion == "corner":
-        positions, universe = euler_tour_positions(sub, part.root, rotation, parents)
-        intervals_full = corner_intervals(sub, parents, positions)
-    elif config.criterion == "preorder":
-        ranks = embedding_ranks(sub, part.root, rotation, parents)
-        intervals_full = non_tree_intervals(sub, parents, ranks)
-        universe = n
-    else:
-        raise ValueError(f"unknown criterion {config.criterion!r}")
-    label_words = max_label_length(depths)
-    local.charge(
-        model.broadcast(depth, max(1, label_words)),
-        "stage2.labels",
-        f"distribute labels of <= {label_words} words",
-    )
-    intervals = [(a, b) for (a, b, _u, _v) in intervals_full]
+    with tracer.span("stage2.labels", pid=part.pid) as span:
+        if config.criterion == "corner":
+            positions, universe = euler_positions_int(rotation, root, parent)
+            found = corner_intervals_int(adj, parent, positions)
+        elif config.criterion == "preorder":
+            ranks = preorder_ranks_int(rotation, root, parent)
+            found = rank_intervals_int(adj, parent, ranks)
+            universe = n
+        else:
+            raise ValueError(f"unknown criterion {config.criterion!r}")
+        label_words = depth  # a label holds one edge label per tree level
+        span.set(
+            rounds=local.charge(
+                model.broadcast(depth, max(1, label_words)),
+                "stage2.labels",
+                f"distribute labels of <= {label_words} words",
+            )
+        )
+    intervals = [(a, b) for a, b, _u, _v in found]
 
-    mask = (
-        violating_mask(intervals, universe=universe)
-        if config.collect_exact_violations
-        else None
-    )
-    violating = sum(mask) if mask is not None else None
-
-    # 5. Sampling-based detection (the native pipeline resolves sampled
-    # interlacements via the Fenwick sweep -- reusing the analysis
-    # mask when it was already computed; identical outcomes).
-    s = sample_size(n_total, config)
-    outcome = sample_and_detect(
-        intervals,
-        s,
-        rng,
-        universe=universe if config.native else None,
-        mask=mask if config.native else None,
-    )
-    label_cost = max(1, 2 * label_words)
-    local.charge(
-        model.convergecast(depth, max(1, outcome.sampled))
-        + model.broadcast(depth, max(1, outcome.sampled * label_cost)),
-        "stage2.sampling",
-        f"gather + broadcast {outcome.sampled} sampled edge labels",
-    )
+    # 5. Sampling-based detection.
+    with tracer.span("stage2.sample", pid=part.pid) as span:
+        mask = (
+            violating_mask(intervals, universe=universe)
+            if config.collect_exact_violations
+            else None
+        )
+        violating = sum(mask) if mask is not None else None
+        s = sample_size(n_total, config)
+        outcome = sample_and_detect(
+            intervals, s, rng, universe=universe, mask=mask
+        )
+        label_cost = max(1, 2 * label_words)
+        span.set(
+            rounds=local.charge(
+                model.convergecast(depth, max(1, outcome.sampled))
+                + model.broadcast(depth, max(1, outcome.sampled * label_cost)),
+                "stage2.sampling",
+                f"gather + broadcast {outcome.sampled} sampled edge labels",
+            )
+        )
     if outcome.detected:
         return verdict(False, "violation", embedding_planar, outcome.sampled, violating)
     return verdict(True, None, embedding_planar, outcome.sampled, violating)

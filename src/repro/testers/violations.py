@@ -10,7 +10,7 @@ Two intervals ``(a, b)`` and ``(c, d)`` (with ``a < b``, ``c < d``,
   there is no violating edge (one-sided error).
 
 This module provides the exact violating-edge analysis (both a brute
-force reference and an ``O(k log k)`` Fenwick sweep) and the paper's
+force reference and a vectorized range-query mask) and the paper's
 sampling-based distributed detection procedure.
 """
 
@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..graphs.structures import FenwickTree
+import numpy as np
 
 Interval = Tuple[int, int]
 
@@ -45,8 +45,48 @@ def violating_mask_bruteforce(intervals: Sequence[Interval]) -> List[bool]:
     return mask
 
 
+def _extremes(values, lo, hi, op, fill):
+    """``op``-reduction of ``values[lo:hi]`` per query (sparse table).
+
+    Queries with ``lo >= hi`` return *fill*.
+    """
+    length = hi - lo
+    longest = int(length.max())
+    levels = max(1, longest.bit_length())
+    size = len(values)
+    table = np.full((levels, size), fill, dtype=values.dtype)
+    table[0] = values
+    for j in range(1, levels):
+        half = 1 << (j - 1)
+        width = size - 2 * half + 1
+        table[j, :width] = op(table[j - 1, :width], table[j - 1, half : half + width])
+    level = np.frexp(np.maximum(length, 1))[1] - 1  # floor(log2(length))
+    low = np.minimum(lo, size - 1)
+    out = op(table[level, low], table[level, np.maximum(hi - (1 << level), 0)])
+    return np.where(length > 0, out, fill)
+
+
+def _mask(starts, ends, universe: int):
+    """Violating-edge mask of the intervals ``(starts[i], ends[i])``."""
+    # right[p]: the furthest end of an interval starting at p; left[p]:
+    # the earliest start of an interval ending at p.
+    right = np.full(universe, -1, dtype=np.int64)
+    np.maximum.at(right, starts, ends)
+    left = np.full(universe, universe, dtype=np.int64)
+    np.minimum.at(left, ends, starts)
+    inner = starts + 1
+    leaves_right = _extremes(right, inner, ends, np.maximum, -1) > ends
+    leaves_left = _extremes(left, inner, ends, np.minimum, universe) < starts
+    return leaves_right | leaves_left
+
+
+def _arrays(intervals: Sequence[Interval]):
+    pairs = np.asarray(intervals, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def violating_mask(intervals: Sequence[Interval], universe: int) -> List[bool]:
-    """O(k log k + universe) violating-edge mask via two Fenwick sweeps.
+    """O(k + universe log universe) violating-edge mask.
 
     An interval ``e = (a, b)`` is violating iff
 
@@ -55,70 +95,24 @@ def violating_mask(intervals: Sequence[Interval], universe: int) -> List[bool]:
     * (B) some interval ends strictly inside ``e`` and starts strictly
       before ``a``.
 
+    Both are range queries over the endpoint positions -- the largest
+    end among intervals starting in ``(a, b)``, the smallest start
+    among intervals ending there -- answered for all intervals at once
+    from two numpy sparse tables.
+
     Args:
         intervals: rank intervals with endpoints in ``[0, universe)``.
         universe: exclusive upper bound on endpoint values.
     """
-    k = len(intervals)
-    mask = [False] * k
-
-    # Sweep A: process queries by decreasing b; insert interval lefts for
-    # intervals with d > current b.
-    by_right_desc = sorted(range(k), key=lambda i: -intervals[i][1])
-    tree = FenwickTree(universe)
-    insert_order = sorted(range(k), key=lambda i: -intervals[i][1])
-    ptr = 0
-    for qi in by_right_desc:
-        a, b = intervals[qi]
-        while ptr < k and intervals[insert_order[ptr]][1] > b:
-            tree.add(intervals[insert_order[ptr]][0])
-            ptr += 1
-        if tree.range_sum(a + 1, b - 1) > 0:
-            mask[qi] = True
-
-    # Sweep B: process queries by increasing a; insert interval rights for
-    # intervals with c < current a.
-    by_left_asc = sorted(range(k), key=lambda i: intervals[i][0])
-    tree = FenwickTree(universe)
-    insert_order = sorted(range(k), key=lambda i: intervals[i][0])
-    ptr = 0
-    for qi in by_left_asc:
-        a, b = intervals[qi]
-        while ptr < k and intervals[insert_order[ptr]][0] < a:
-            tree.add(intervals[insert_order[ptr]][1])
-            ptr += 1
-        if tree.range_sum(a + 1, b - 1) > 0:
-            mask[qi] = True
-
-    return mask
+    if not intervals:
+        return []
+    starts, ends = _arrays(intervals)
+    return _mask(starts, ends, universe).tolist()
 
 
 def count_violating(intervals: Sequence[Interval], universe: int) -> int:
     """Number of violating non-tree edges (exact, for analysis)."""
     return sum(violating_mask(intervals, universe))
-
-
-def find_any_interlacement(
-    intervals: Sequence[Interval],
-) -> Optional[Tuple[int, int]]:
-    """Indices of one interlacing pair, or None.  O(k log k) stack sweep."""
-    # Sort by left endpoint; maintain a stack of open intervals.  This is
-    # only used for witness extraction in reports, so an O(k^2) fallback
-    # on small inputs would also do; we keep it near-linear regardless.
-    order = sorted(range(len(intervals)), key=lambda i: intervals[i])
-    best: Optional[Tuple[int, int]] = None
-    # simple approach: for each interval find the max-right interval
-    # starting inside it.
-    events = sorted(
-        (intervals[i][0], intervals[i][1], i) for i in order
-    )
-    for idx, (a, b, i) in enumerate(events):
-        for a2, b2, j in events[idx + 1 :]:
-            if a2 >= b:
-                break
-            if a < a2 < b < b2:
-                return (i, j)
-    return best
 
 
 @dataclass
@@ -145,7 +139,7 @@ def sample_and_detect(
     sample_target: int,
     rng: random.Random,
     universe: Optional[int] = None,
-    mask: Optional[List[bool]] = None,
+    mask: Optional[Sequence[bool]] = None,
 ) -> SamplingOutcome:
     """Paper Section 2.2.2 detection: sample ~s non-tree edges, broadcast
     their labels, and let every edge owner test interlacement.
@@ -157,14 +151,12 @@ def sample_and_detect(
     1/poly(n)-probability event).  A violation is detected when a sampled
     edge interlaces *any* non-tree edge, sampled or not.
 
-    When *universe* is given (an exclusive upper bound on endpoint
-    values), the per-sample interlacement test resolves against the
-    Fenwick-sweep :func:`violating_mask` in ``O(k log k)`` total instead
-    of the seed's ``O(s * k)`` pairwise scan -- the mask answers exactly
-    the predicate "does edge i interlace some other edge", so the
-    outcome (including the reported witness) is identical.  Callers
-    that already computed the mask (analysis mode) pass it via *mask*
-    to skip the rebuild.
+    The test "does edge i interlace some other edge" is read off the
+    :func:`violating_mask`; callers that already computed it (analysis
+    mode) pass it via *mask*.  *universe* is an exclusive upper bound on
+    endpoint values (default: the largest endpoint plus one).  The
+    witness pairs the first sampled violating edge with its first
+    interlacing partner in index order.
     """
     k = len(intervals)
     if k == 0 or sample_target <= 0:
@@ -175,31 +167,24 @@ def sample_and_detect(
     truncated = len(chosen) > cap
     if truncated:
         chosen = chosen[:cap]
-    if universe is not None or mask is not None:
+    if chosen:
+        starts, ends = _arrays(intervals)
         if mask is None:
-            mask = violating_mask(intervals, universe)
-        for i in chosen:
-            if mask[i]:
-                # Reconstruct the seed's witness: the first partner in
-                # index order.
-                for j in range(k):
-                    if j != i and edges_interlace(intervals[i], intervals[j]):
-                        return SamplingOutcome(
-                            True,
-                            sample_target,
-                            len(chosen),
-                            truncated,
-                            witness=(intervals[i], intervals[j]),
-                        )
-        return SamplingOutcome(False, sample_target, len(chosen), truncated)
-    for i in chosen:
-        for j in range(k):
-            if j != i and edges_interlace(intervals[i], intervals[j]):
-                return SamplingOutcome(
-                    True,
-                    sample_target,
-                    len(chosen),
-                    truncated,
-                    witness=(intervals[i], intervals[j]),
-                )
+            bound = int(ends.max()) + 1 if universe is None else universe
+            mask = _mask(starts, ends, bound)
+        hits = np.flatnonzero(np.asarray(mask)[chosen])
+        if len(hits):
+            i = chosen[int(hits[0])]
+            a, b = intervals[i]
+            partners = ((a < starts) & (starts < b) & (b < ends)) | (
+                (starts < a) & (a < ends) & (ends < b)
+            )
+            j = int(np.flatnonzero(partners)[0])
+            return SamplingOutcome(
+                True,
+                sample_target,
+                len(chosen),
+                truncated,
+                witness=(intervals[i], intervals[j]),
+            )
     return SamplingOutcome(False, sample_target, len(chosen), truncated)

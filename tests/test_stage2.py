@@ -150,6 +150,67 @@ class TestPartVerdicts:
         )
 
 
+class TestStage2Spans:
+    """Traced Stage II: each step's span carries the rounds charged in it."""
+
+    SPAN_CATEGORY = {
+        "stage2.embed": "stage2.embedding",
+        "stage2.labels": "stage2.labels",
+        "stage2.sample": "stage2.sampling",
+    }
+
+    @pytest.fixture
+    def tracer(self, monkeypatch):
+        from repro.telemetry import (
+            TELEMETRY_ENV_VAR,
+            TRACE_DIR_ENV_VAR,
+            configure,
+            get_tracer,
+            reset,
+        )
+
+        monkeypatch.delenv(TRACE_DIR_ENV_VAR, raising=False)
+        monkeypatch.setenv(TELEMETRY_ENV_VAR, "1")
+        reset()
+        yield get_tracer()
+        configure(enabled=False)
+
+    def test_span_rounds_sum_to_part_rounds(self, tracer):
+        from repro.partition import partition_stage1
+
+        graph = make_planar("delaunay", 300, seed=0)
+        rng = random.Random(5)
+        nodes = list(graph)
+        for _ in range(12):  # sparse non-planar parts reach the sampler
+            graph.add_edge(*rng.sample(nodes, 2))
+        partition = partition_stage1(graph, epsilon=0.3).partition
+        tracer.drain()
+        reasons = set()
+        for config in (
+            Stage2Config(epsilon=0.1),
+            Stage2Config(epsilon=0.1, reject_on_embedding_failure=True),
+        ):
+            for pid, part in partition.parts.items():
+                ledger = RoundLedger()
+                verdict = run_part(
+                    graph, part, n_total=300, rng=random.Random(0),
+                    config=config, ledger=ledger,
+                )
+                reasons.add(verdict.reason)
+                spans = [ev for ev in tracer.drain() if ev["ev"] == "span"]
+                categories = ledger.by_category()
+                assert all(ev["attrs"]["pid"] == pid for ev in spans)
+                for ev in spans:
+                    category = self.SPAN_CATEGORY[ev["name"]]
+                    assert ev["attrs"]["rounds"] == categories.get(category, 0)
+                outside = categories["stage2.bfs"] + categories.get(
+                    "stage2.counts", 0
+                )
+                traced = sum(ev["attrs"]["rounds"] for ev in spans)
+                assert traced + outside == verdict.rounds, pid
+        assert {None, "violation", "embedding"} <= reasons
+
+
 class TestRemark1Coloring:
     """Randomized coloring with abstention (Remark 1 trade-off)."""
 
