@@ -5,10 +5,12 @@ partition/stage2 layer onto the compiled topology's CSR arrays and int
 ids removes the networkx-view and dict-churn constant factors without
 changing a single output.  Gated (and run in CI's bench-smoke job):
 
-* the dense partition engine is >= 3x the legacy dict engine on the
-  n=2000 Delaunay partition;
+* the shipped partition engine is >= 3x the seed dict engine (the
+  oracle in ``repro.partition._differential``) on the n=2000 Delaunay
+  partition;
 * the end-to-end planarity tester (dense Stage I + int Stage II) is
-  >= 1.5x the seed path (legacy Stage I + the oracle's view path);
+  >= 1.5x the seed path (the dict Stage I oracle + the Stage II
+  oracle's view path);
 * the same tester is >= 2x "dense + dict Stage II", the oracle's
   dict-copy extraction + dict LR + Fenwick pipeline that shipped
   before Stage II moved to int ids.  Timed A/B-interleaved in this
@@ -33,6 +35,7 @@ from _harness import quick_mode, save_table
 from repro.analysis.tables import Table
 from repro.congest.topology import compile_topology
 from repro.graphs import make_planar
+from repro.partition import _differential as partition_oracle
 from repro.partition import partition_stage1
 from repro.testers import _differential as oracle
 from repro.testers.planarity import PlanarityTestConfig
@@ -97,16 +100,19 @@ def pipeline_table():
     compile_topology(graph).edge_arrays()  # timings cover the sweeps only
 
     legacy_time, legacy = _best(
-        lambda: partition_stage1(graph, epsilon=EPSILON, engine="legacy")
+        lambda: partition_oracle.partition_stage1(graph, epsilon=EPSILON)
     )
     dense_time, dense = _best(
-        lambda: partition_stage1(graph, epsilon=EPSILON, engine="dense")
+        lambda: partition_stage1(graph, epsilon=EPSILON)
     )
-    seed_config = PlanarityTestConfig(epsilon=EPSILON, engine="legacy")
     native_config = PlanarityTestConfig(epsilon=EPSILON)
     seed_tester_time, seed_result = _best(
         lambda: oracle.test_planarity(
-            graph, seed=0, config=seed_config, native=False
+            graph,
+            seed=0,
+            config=native_config,
+            native=False,
+            stage1=partition_oracle.partition_stage1,
         )
     )
     native_tester_time, native_result = _best(
@@ -133,7 +139,9 @@ def pipeline_table():
         f"E16: dense-index pipeline on delaunay n={N}, eps={EPSILON}",
         ["workload", "engine", "wall s", "speedup", "gate", "identical"],
     )
-    table.add_row("partition", "legacy (seed)", round(legacy_time, 4), 1.0, "-", "-")
+    table.add_row(
+        "partition", "dict (seed oracle)", round(legacy_time, 4), 1.0, "-", "-"
+    )
     table.add_row(
         "partition",
         "dense (CSR)",
@@ -143,7 +151,7 @@ def pipeline_table():
         "yes",
     )
     table.add_row(
-        "tester e2e", "legacy (seed)", round(seed_tester_time, 4), 1.0, "-", "-"
+        "tester e2e", "seed (oracles)", round(seed_tester_time, 4), 1.0, "-", "-"
     )
     table.add_row(
         "tester e2e",
@@ -218,7 +226,5 @@ def test_int_stage2_speedup_gate(pipeline_table):
 
 def test_benchmark_dense_partition(benchmark, pipeline_table):
     graph = make_planar("delaunay", N, seed=0)
-    result = benchmark(
-        lambda: partition_stage1(graph, epsilon=EPSILON, engine="dense")
-    )
+    result = benchmark(lambda: partition_stage1(graph, epsilon=EPSILON))
     assert result.success

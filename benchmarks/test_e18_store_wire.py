@@ -22,13 +22,25 @@ record population:
 
 Decode identity across formats is part of the claim: both stores must
 dump byte-for-byte equal ``(key, stamp, record)`` triples.
+
+The two wall-clock legs are timed A/B-interleaved: each of ``PAIRS``
+pairs times the JSONL control and the binary candidate back to back
+(alternating which goes first), and the gate is the median of the
+per-pair ratios, so load drift during the run hits both sides of a
+pair alike instead of skewing one format's best-of.  As ``timeit``
+does, each timed call starts from a collected heap with the cyclic
+collector paused: otherwise a collection triggered by garbage from the
+other format (or, in a full test run, from every earlier test) lands in
+whichever side's region happens to cross the threshold.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import shutil
+import statistics
 import time
 
 import pytest
@@ -44,7 +56,7 @@ from repro.runtime.codec import (
 )
 
 ENTRIES = 1500 if quick_mode() else 6000
-REPEATS = 3 if quick_mode() else 5
+PAIRS = 7 if quick_mode() else 11
 SHARDS = 4
 RESUME_GATE = 3.0
 GC_GATE = 3.0
@@ -91,30 +103,53 @@ def _data_bytes(root) -> int:
     )
 
 
-def _time_resume(root) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        reopened = ShardedStore(root, shards=SHARDS)
-        count = len(reopened)  # forces the full shard scan
-        best = min(best, time.perf_counter() - start)
-        assert count == ENTRIES
-    return best
+def _time_resume(root, _pair) -> float:
+    start = time.perf_counter()
+    reopened = ShardedStore(root, shards=SHARDS)
+    count = len(reopened)  # forces the full shard scan
+    elapsed = time.perf_counter() - start
+    assert count == ENTRIES
+    return elapsed
 
 
-def _time_gc(root, tmp_path) -> float:
-    best = float("inf")
-    for rep in range(REPEATS):
-        copy = tmp_path / f"gc-{root.name}-{rep}"
-        shutil.copytree(root, copy)
-        for idx in copy.glob("*.idx"):
-            idx.unlink()  # time the rewrite, not a sidecar shortcut
-        victim = ShardedStore(copy, shards=SHARDS)
-        start = time.perf_counter()
-        report = victim.gc(ttl=None, max_bytes=None)
-        best = min(best, time.perf_counter() - start)
-        assert report.bytes_reclaimed > 0  # the dups really burned off
-    return best
+def _time_gc(root, pair) -> float:
+    copy = root.parent / f"gc-{root.name}-{pair}"
+    shutil.copytree(root, copy)
+    for idx in copy.glob("*.idx"):
+        idx.unlink()  # time the rewrite, not a sidecar shortcut
+    victim = ShardedStore(copy, shards=SHARDS)
+    start = time.perf_counter()
+    report = victim.gc(ttl=None, max_bytes=None)
+    elapsed = time.perf_counter() - start
+    assert report.bytes_reclaimed > 0  # the dups really burned off
+    shutil.rmtree(copy)
+    return elapsed
+
+
+def _quiet(timer, root, pair) -> float:
+    gc.collect()
+    gc.disable()
+    try:
+        return timer(root, pair)
+    finally:
+        gc.enable()
+
+
+def _interleaved(timer, roots):
+    """Median JSONL/rbin ratio over A/B-interleaved pairs.
+
+    Returns ``(ratio, {fmt: median seconds})``.
+    """
+    times = {"jsonl": [], "rbin": []}
+    ratios = []
+    for pair in range(PAIRS):
+        order = ("jsonl", "rbin") if pair % 2 == 0 else ("rbin", "jsonl")
+        pair_s = {fmt: _quiet(timer, roots[fmt], pair) for fmt in order}
+        for fmt, elapsed in pair_s.items():
+            times[fmt].append(elapsed)
+        ratios.append(pair_s["jsonl"] / pair_s["rbin"])
+    medians = {fmt: statistics.median(t) for fmt, t in times.items()}
+    return statistics.median(ratios), medians
 
 
 def _wire_bytes_binary(records) -> int:
@@ -157,9 +192,6 @@ def _wire_bytes_json(records) -> int:
 def store_wire_table(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("e18")
     roots = {}
-    resume_s = {}
-    gc_s = {}
-    shard_bytes = {}
     for fmt in ("jsonl", "rbin"):
         root = tmp_path / fmt
         store = ShardedStore(root, shards=SHARDS, record_format=fmt)
@@ -172,8 +204,11 @@ def store_wire_table(tmp_path_factory):
         for i in range(ENTRIES):
             store.put(_key(i), _record(i))
         roots[fmt] = root
-        resume_s[fmt] = _time_resume(root)
-        gc_s[fmt] = _time_gc(root, tmp_path)
+
+    resume_speedup, resume_s = _interleaved(_time_resume, roots)
+    gc_speedup, gc_s = _interleaved(_time_gc, roots)
+    shard_bytes = {}
+    for fmt, root in roots.items():
         # Footprint after compaction: live entries only, and the
         # binary side pays for its .idx sidecars.
         ShardedStore(root, shards=SHARDS).gc(ttl=None, max_bytes=None)
@@ -186,8 +221,8 @@ def store_wire_table(tmp_path_factory):
     }
 
     ratios = {
-        "resume_speedup": resume_s["jsonl"] / resume_s["rbin"],
-        "gc_speedup": gc_s["jsonl"] / gc_s["rbin"],
+        "resume_speedup": resume_speedup,
+        "gc_speedup": gc_speedup,
         "shard_bytes_ratio": shard_bytes["jsonl"] / shard_bytes["rbin"],
         "wire_bytes_ratio": wire_bytes["jsonl"] / wire_bytes["rbin"],
     }
@@ -199,7 +234,7 @@ def store_wire_table(tmp_path_factory):
 
     table = Table(
         f"E18: binary store + wire vs JSONL ({ENTRIES} records, "
-        f"{SHARDS} shards, best of {REPEATS})",
+        f"{SHARDS} shards, medians of {PAIRS} A/B pairs)",
         ["format", "resume ms", "gc ms", "shard KiB", "wire KiB"],
     )
     for fmt in ("jsonl", "rbin"):
@@ -224,7 +259,7 @@ def store_wire_table(tmp_path_factory):
         metrics={
             "entries": ENTRIES,
             "shards": SHARDS,
-            "repeats": REPEATS,
+            "pairs": PAIRS,
             "resume_jsonl_s": round(resume_s["jsonl"], 6),
             "resume_rbin_s": round(resume_s["rbin"], 6),
             "gc_jsonl_s": round(gc_s["jsonl"], 6),

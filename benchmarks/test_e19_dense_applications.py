@@ -6,9 +6,10 @@ stretch fold, and the partition-emulation protocols -- run as array
 programs with bit-identical outputs.  Gated (and run in CI's
 bench-smoke job):
 
-* ``build_spanner(engine="dense")`` (CSR edge arrays straight off the
-  dense partition state) is >= 3x the legacy networkx walk;
-* the batched-BFS ``measure_stretch`` is >= 3x the legacy per-pair
+* ``build_spanner`` (CSR edge arrays straight off the dense partition
+  state) is >= 3x the seed dict partition + networkx walk (the oracle
+  in ``repro.partition._differential``);
+* the batched-BFS ``measure_stretch`` is >= 3x the oracle's per-pair
   fold at the same sample;
 * the ``forest`` and ``cv`` batch kernels run partition-emulation
   trials >= 2x faster per trial than the scalar dense plane;
@@ -48,6 +49,7 @@ from repro.congest.programs.cole_vishkin import (
 from repro.congest.programs.forest_decomposition import (
     barenboim_elkin_round_budget,
 )
+from repro.partition import _differential as oracle
 from repro.runtime import (
     JobSpec,
     ResultCache,
@@ -116,13 +118,11 @@ def applications_table():
     graph = make_planar_graph()
     compile_topology(graph).edge_arrays()  # timings cover the sweeps only
 
-    # -- spanner build: legacy walk vs CSR assembly ----------------------
+    # -- spanner build: seed walk (oracle) vs CSR assembly --------------
     legacy_build_s, legacy = _best(
-        lambda: build_spanner(graph, epsilon=EPSILON, engine="legacy")
+        lambda: oracle.build_spanner(graph, epsilon=EPSILON)
     )
-    dense_build_s, dense = _best(
-        lambda: build_spanner(graph, epsilon=EPSILON, engine="dense")
-    )
+    dense_build_s, dense = _best(lambda: build_spanner(graph, epsilon=EPSILON))
     build_speedup = legacy_build_s / dense_build_s
     assert dense.tree_edges == legacy.tree_edges
     assert dense.connector_edges == legacy.connector_edges
@@ -135,15 +135,12 @@ def applications_table():
 
     # -- stretch: per-pair fold vs batched CSR BFS -----------------------
     legacy_stretch_s, legacy_stretch = _best(
-        lambda: measure_stretch(
-            graph, legacy.spanner, sample_nodes=SAMPLE, seed=0,
-            engine="legacy",
+        lambda: oracle.measure_stretch(
+            graph, legacy.spanner, sample_nodes=SAMPLE, seed=0
         )
     )
     dense_stretch_s, dense_stretch = _best(
-        lambda: measure_stretch(
-            graph, dense.dense, sample_nodes=SAMPLE, seed=0, engine="dense"
-        )
+        lambda: measure_stretch(graph, dense.dense, sample_nodes=SAMPLE, seed=0)
     )
     stretch_speedup = legacy_stretch_s / dense_stretch_s
     assert dense_stretch == legacy_stretch
@@ -297,7 +294,5 @@ def test_cv_sweep_coalesces_and_expands(applications_table):
 
 def test_benchmark_dense_spanner(benchmark, applications_table):
     graph = make_planar_graph()
-    result = benchmark(
-        lambda: build_spanner(graph, epsilon=EPSILON, engine="dense")
-    )
+    result = benchmark(lambda: build_spanner(graph, epsilon=EPSILON))
     assert result.dense is not None

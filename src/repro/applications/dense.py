@@ -1,12 +1,11 @@
-"""CSR-native engine for the Corollary 17 spanner layer.
+"""CSR-native Corollary 17 spanner layer.
 
-The legacy :func:`~repro.applications.spanner.build_spanner` assembles
-the spanner by walking legacy :class:`~repro.partition.parts.Partition`
-objects and re-deriving the auxiliary graph through networkx views --
-the only consumer of the partition that never got the dense-index
-treatment.  This module builds the same spanner straight from the
-:class:`~repro.partition.dense.DensePartitionState` arrays the dense
-partition engine already produced:
+The seed spanner builder walked :class:`~repro.partition.parts.Partition`
+objects and re-derived the auxiliary graph through networkx views (it
+survives as the test oracle :mod:`repro.partition._differential`).
+This module builds the same spanner straight from the
+:class:`~repro.partition.dense.DensePartitionState` arrays the
+partition already produced:
 
 * **tree edges** are read off the per-node parent array (one edge per
   non-root dense index, ``n - k`` total);
@@ -20,8 +19,8 @@ partition engine already produced:
 Stretch measurement runs as a *batched* level-synchronous BFS over the
 CSR arrays: one ``(sources, n)`` frontier tensor per graph instead of
 one ``nx.single_source_shortest_path_length`` call per sampled pair.
-Both paths are bit-identical to the legacy implementations (same edge
-sets, same counts, same worst-ratio float) -- gated by
+Both are bit-identical to the seed implementations (same edge sets,
+same counts, same worst-ratio float) -- gated by
 ``tests/test_applications_dense.py`` and benchmark E19.
 """
 
@@ -30,11 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Tuple
 
 import networkx as nx
-
-try:  # pragma: no cover - exercised by the numpy-less fallback tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..errors import GraphInputError
 
@@ -95,7 +90,7 @@ class DenseSpanner:
             yield ids[u], ids[v]
 
     def to_graph(self) -> nx.Graph:
-        """Materialize the spanner as a networkx graph (legacy shape)."""
+        """Materialize the spanner as a networkx graph."""
         spanner = nx.Graph()
         spanner.add_nodes_from(self.topology.nodes)
         spanner.add_edges_from(self.edges())
@@ -124,7 +119,7 @@ def build_dense_spanner(
     Returns ``(spanner, tree_edges, connector_edges)``.  Tree edges are
     the non-root rows of the parent array; connectors are the designated
     auxiliary-edge endpoints (inter-part by construction, so the two
-    groups never overlap -- matching the legacy builder's dedup, which
+    groups never overlap -- matching the seed builder's dedup, which
     provably never fires).
     """
     parent = np.asarray(state.parent, dtype=np.int64)
@@ -202,8 +197,8 @@ def stretch_from_distances(dist_g, dist_s) -> float:
     """Worst ``d_S / d_G`` ratio given the two distance matrices.
 
     Raises :class:`~repro.errors.GraphInputError` when some node is
-    graph-reachable but spanner-unreachable (legacy contract).  The
-    result is the same float the legacy per-pair fold produces: the
+    graph-reachable but spanner-unreachable.  The result is the same
+    float the per-pair networkx fold produces: the
     ratios are exact int64-over-int64 IEEE divisions and ``max`` over
     float64 is order-independent.
     """

@@ -77,7 +77,7 @@ from .congest.instrumentation import PROFILE_ENV_VAR, PROFILES
 from .graphs.far_from_planar import FAR_FAMILIES, make_far
 from .graphs.generators import PLANAR_FAMILIES, make_planar
 from .graphs.lower_bound import lower_bound_instance
-from .partition.stage1 import ENGINES, partition_stage1
+from .partition.stage1 import partition_stage1
 from .partition.weighted_selection import partition_randomized
 from .runtime import (
     Client,
@@ -116,7 +116,6 @@ def _cmd_test(args) -> int:
     config = PlanarityTestConfig(
         epsilon=args.epsilon,
         collect_exact_violations=args.analyze,
-        engine=args.engine,
     )
     result = test_planarity(graph, seed=args.seed, config=config)
     table = Table(
@@ -150,7 +149,6 @@ def _cmd_partition(args) -> int:
             graph,
             epsilon=args.epsilon,
             target_cut=args.epsilon * graph.number_of_nodes(),
-            engine=args.engine,
         )
     else:
         result = partition_randomized(
@@ -158,7 +156,6 @@ def _cmd_partition(args) -> int:
             epsilon=args.epsilon,
             delta=args.delta,
             seed=args.seed,
-            engine=args.engine,
         )
     table = Table(
         f"{args.method} partition of {label}",
@@ -320,16 +317,15 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 
 
 def _run_config_from_args(args) -> RunConfig:
-    """Batch/engine knobs as a :class:`RunConfig` (CLI flag beats env).
+    """Batch knobs as a :class:`RunConfig` (CLI flag beats env).
 
     ``run_sweep`` / ``iter_jobs`` export the explicitly-set knobs for
-    the run's duration, which is how ``--engine`` reaches partition
-    calls in process-pool workers too.
+    the run's duration, which is how ``--batch`` reaches process-pool
+    workers too.
     """
     return RunConfig(
         sim_batch=args.batch,
         sim_batch_waste=args.batch_waste,
-        partition_engine=args.engine,
     )
 
 
@@ -703,13 +699,6 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
         "for this run, including process-pool workers)",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="partition engine for partition/test kinds (sets "
-        "REPRO_PARTITION_ENGINE for this run, including workers)",
-    )
-    parser.add_argument(
         "--batch",
         type=_parse_batch,
         default=None,
@@ -745,12 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--analyze", action="store_true", help="collect exact violating counts"
     )
-    p_test.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="partition engine (auto = CSR-native dense when supported)",
-    )
     p_test.set_defaults(func=_cmd_test)
 
     p_part = sub.add_parser("partition", help="run the Theorem 3/4 partition")
@@ -761,12 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("deterministic", "randomized"),
     )
     p_part.add_argument("--delta", type=float, default=0.1)
-    p_part.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="partition engine (auto = CSR-native dense when supported)",
-    )
     p_part.set_defaults(func=_cmd_partition)
 
     p_span = sub.add_parser("spanner", help="build the Corollary 17 spanner")

@@ -115,9 +115,10 @@ class CongestNetwork:
                 :func:`repro.congest.message.default_bandwidth_bits`.
             seed: master seed from which per-node RNGs are derived.
             topology: an already-compiled topology to use directly
-                (skips compilation and graph validation entirely).  When
-                both *graph* and *topology* are given they must refer to
-                the same graph object.
+                (skips compilation and graph validation entirely); its
+                graph must still be alive.  When both *graph* and
+                *topology* are given they must refer to the same graph
+                object.
         """
         if topology is None:
             if graph is None:
@@ -131,6 +132,12 @@ class CongestNetwork:
             )
         self.topology = topology
         self.graph = topology.graph
+        if self.graph is None:
+            # Topologies hold their graph weakly (see CompiledTopology).
+            raise GraphInputError(
+                "the topology's graph has been freed; keep a reference to "
+                "the graph while networks are built from its topology"
+            )
         self.n = topology.n
         self.bandwidth_bits = (
             bandwidth_bits if bandwidth_bits is not None else topology.bandwidth_bits

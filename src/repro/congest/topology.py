@@ -17,7 +17,8 @@ A :class:`CompiledTopology` does that derivation exactly once per graph:
 * a dense degree table and the default per-edge bandwidth budget.
 
 :func:`compile_topology` memoizes compilations per graph *object* (a
-``WeakKeyDictionary``, so retired graphs do not leak), which is the hook
+``WeakKeyDictionary``; a topology holds its graph only weakly, so retired
+graphs do not leak), which is the hook
 the runtime layer relies on: :func:`repro.runtime.run_jobs` hands the
 same graph object to every trial of a sweep via its ``graphs`` hint, so
 the topology is compiled exactly once per process no matter how many
@@ -31,7 +32,7 @@ import threading
 import weakref
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import networkx as nx
 
@@ -43,10 +44,14 @@ class CompiledTopology:
     """Immutable, pre-derived adjacency structure of one simple graph.
 
     Attributes:
-        graph: the source :class:`networkx.Graph`.
+        graph: the source :class:`networkx.Graph`, held weakly (the
+            memo maps the graph to this object, so a strong reference
+            here would keep every compiled graph alive); ``None`` once
+            the graph is gone.
         n: number of nodes.
         m: number of edges.
-        nodes: node ids in sorted order; position = dense index.
+        nodes: node ids in sorted order (by *key* when one is given);
+            position = dense index.
         index: mapping from node id to dense index.
         indptr: CSR row pointers (length ``n + 1``); the neighbors of
             dense index ``i`` are ``indices[indptr[i]:indptr[i + 1]]``.
@@ -62,10 +67,16 @@ class CompiledTopology:
             indices.
         bandwidth_bits: the default CONGEST budget for this ``n`` (see
             :func:`repro.congest.message.default_bandwidth_bits`).
+
+    ``CompiledTopology(graph, key=id_key)`` orders nodes and CSR rows by
+    *key* instead of natural order: the partition's relabel for labels
+    that are not non-negative ints (see
+    :func:`repro.partition.dense.dense_topology`).  The memoized
+    :func:`compile_topology` always sorts naturally.
     """
 
     __slots__ = (
-        "graph",
+        "_graph_ref",
         "n",
         "m",
         "nodes",
@@ -83,17 +94,17 @@ class CompiledTopology:
         "__weakref__",
     )
 
-    def __init__(self, graph: nx.Graph):
+    def __init__(self, graph: nx.Graph, key=None):
         if graph.is_directed() or graph.is_multigraph():
             raise GraphInputError("CongestNetwork requires a simple undirected graph")
         if any(u == v for u, v in graph.edges()):
             raise GraphInputError("CongestNetwork does not support self-loops")
         if graph.number_of_nodes() == 0:
             raise GraphInputError("CongestNetwork requires at least one node")
-        self.graph = graph
+        self._graph_ref = weakref.ref(graph)
         self.n = graph.number_of_nodes()
         self.m = graph.number_of_edges()
-        nodes: Tuple[Any, ...] = tuple(sorted(graph.nodes()))
+        nodes: Tuple[Any, ...] = tuple(sorted(graph.nodes(), key=key))
         self.nodes = nodes
         index: Dict[Any, int] = {v: i for i, v in enumerate(nodes)}
         self.index = index
@@ -105,7 +116,7 @@ class CompiledTopology:
         neighbor_sets: Dict[Any, frozenset] = {}
         neighbor_index_sets = []
         for v in nodes:
-            nbrs = tuple(sorted(graph.neighbors(v)))
+            nbrs = tuple(sorted(graph.neighbors(v), key=key))
             neighbors[v] = nbrs
             neighbor_sets[v] = frozenset(nbrs)
             row = [index[w] for w in nbrs]
@@ -123,6 +134,11 @@ class CompiledTopology:
         self._plane_arrays = None
         self._edge_arrays = None
         self._batch_arrays = None
+
+    @property
+    def graph(self) -> Optional[nx.Graph]:
+        """The source graph, or ``None`` once it has been freed."""
+        return self._graph_ref()
 
     # -- dense-index accessors ------------------------------------------------
 
@@ -147,8 +163,7 @@ class CompiledTopology:
         One row per edge, endpoints as dense indices, ordered by
         ``(eu, row position)`` -- the contiguous representation the
         CSR-native partition pipeline sweeps instead of networkx edge
-        views.  Lazily built and cached; raises :class:`ImportError`
-        when numpy is unavailable (callers fall back to the dict layer).
+        views.  Lazily built and cached.
         """
         arrays = self._edge_arrays
         if arrays is None:
@@ -177,9 +192,7 @@ class CompiledTopology:
         buffers, ``degrees`` and ``row_owner`` are derived from them at
         C speed.  Lazily built and cached per topology, so every trial
         of a batch over the same graph shares one export (mirroring
-        :meth:`plane_arrays` on the scalar side).  Raises
-        :class:`ImportError` when numpy is unavailable -- the runtime's
-        batch coalescer probes for numpy before forming batch jobs.
+        :meth:`plane_arrays` on the scalar side).
         """
         arrays = self._batch_arrays
         if arrays is None:

@@ -2,7 +2,7 @@
 
 from .auxiliary import AuxEdge, AuxiliaryGraph
 from .coloring import cole_vishkin_emulated, randomized_coloring_emulated
-from .dense import DenseAuxiliaryGraph, DensePartitionState, dense_supported
+from .dense import DenseAuxiliaryGraph, DensePartitionState, dense_topology
 from .forest_decomposition import (
     ForestDecompositionResult,
     forest_decomposition_emulated,
@@ -10,29 +10,18 @@ from .forest_decomposition import (
 from .marking import MarkingResult, mark_and_choose
 from .parts import Part, Partition, build_part
 from .stage1 import (
-    ENGINES,
-    ENGINE_ENV_VAR,
     PhaseStats,
     Stage1Result,
-    merge_parts,
     partition_stage1,
-    resolve_engine,
-    select_heaviest_out_edges,
     theoretical_phase_cap,
 )
-from .weighted_selection import (
-    RandomizedPartitionResult,
-    partition_randomized,
-    weighted_edge_selection,
-)
+from .weighted_selection import RandomizedPartitionResult, partition_randomized
 
 __all__ = [
     "AuxEdge",
     "AuxiliaryGraph",
     "DenseAuxiliaryGraph",
     "DensePartitionState",
-    "ENGINES",
-    "ENGINE_ENV_VAR",
     "ForestDecompositionResult",
     "MarkingResult",
     "Part",
@@ -42,15 +31,11 @@ __all__ = [
     "Stage1Result",
     "build_part",
     "cole_vishkin_emulated",
-    "dense_supported",
+    "dense_topology",
     "randomized_coloring_emulated",
     "forest_decomposition_emulated",
     "mark_and_choose",
-    "merge_parts",
     "partition_randomized",
     "partition_stage1",
-    "resolve_engine",
-    "select_heaviest_out_edges",
     "theoretical_phase_cap",
-    "weighted_edge_selection",
 ]

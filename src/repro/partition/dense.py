@@ -7,64 +7,125 @@ them again, and every merge rebuilt frozensets and ``Part`` objects.
 This module reruns the identical algorithm on the
 :class:`~repro.congest.topology.CompiledTopology`'s dense-index arrays:
 
-* the input graph is compiled once; undirected edges live in two numpy
-  index arrays (``eu``, ``ev``) shared by every phase;
+* the input graph is compiled once (:func:`dense_topology`); undirected
+  edges live in two numpy index arrays (``eu``, ``ev``) shared by every
+  phase;
 * the partition state is a numpy ``part_of`` vector plus flat parent /
   tree-adjacency tables over dense indices -- cut sizes and auxiliary
   weights come from vectorized sweeps (``unique`` over packed endpoint
   pairs) instead of per-edge dict churn;
 * the *decision* layer (forest decomposition, heaviest-out-edge
-  selection, Cole-Vishkin, CHW marking, weighted selection) is reused
-  verbatim from the emulated modules, operating on dense indices, so
-  there is exactly one implementation of the paper's logic.
+  selection, Cole-Vishkin, CHW marking, weighted selection) applies the
+  exact rules of the emulated modules to dense indices.
 
-Equivalence: dense indices are assigned in sorted-id order, so for
-graphs with non-negative integer labels (every bundled generator) all
-tie-breaks agree with the seed's ``id_key`` order, Cole-Vishkin seeds
-from the original ids, and RNG streams are consumed in the same order --
-the engine yields bit-identical partitions, phase stats, ledgers and
-round counts, which ``tests/test_partition_dense.py`` asserts against
-the legacy engine on every bundled generator.  :func:`dense_supported`
-gates the engine; unsupported inputs fall back to the legacy path.
+This is the only partition engine; it accepts any hashable labels.
+Equivalence with the seed dict engine (kept as the test oracle
+:mod:`repro.partition._differential`): dense indices are assigned in
+``id_key`` order, so every tie-break agrees with the seed's; RNG
+streams are consumed in the same order; and Cole-Vishkin seeds each
+part root as the seed does -- with its id when every current root is a
+non-negative int, with its rank in ``repr`` order otherwise
+(:func:`cv_seeds`).  Partitions, phase stats, ledgers and round counts
+are therefore bit-identical, which ``tests/test_partition_dense.py``
+asserts on every bundled generator under int, str, tuple, negative and
+mixed labellings.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..congest.programs.cole_vishkin import cv_schedule
-from ..congest.topology import CompiledTopology
-from ..errors import PartitionError
+from ..congest.topology import CompiledTopology, compile_topology
+from ..errors import GraphInputError, PartitionError
+from ..graphs.utils import id_key
+from .coloring import cole_vishkin_emulated
 from .marking import MarkingResult
 from .parts import Part, Partition
-
-try:  # numpy ships with the scientific toolchain; gate anyway.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via dense_supported
-    np = None
 
 _MAX_ID = 2**62  # int64 headroom for the vectorized CV bit tricks
 
 
-def dense_supported(graph: nx.Graph) -> bool:
-    """Whether the CSR-native engine reproduces the legacy engine exactly.
+def _is_dense_id(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < _MAX_ID
 
-    Requires numpy, a non-empty graph (the legacy engine returns an
-    empty partition where ``compile_topology`` would refuse), and
-    non-negative (int64-sized) integer node labels: dense indices then
-    order identically to ``id_key``, and Cole-Vishkin's id-seeded
-    colors fit the vectorized bit tricks.  Anything else falls back to
-    the legacy dict engine (same results, smaller constant factor).
+
+def dense_topology(graph: nx.Graph) -> CompiledTopology:
+    """The compiled topology the partition engine runs *graph* on.
+
+    Graphs whose labels are all non-negative int64-sized ints (every
+    bundled generator) use the memoized :func:`compile_topology`: their
+    sorted order already is ``id_key`` order.  Any other labels are
+    relabelled here, at the boundary, by a private compilation whose
+    dense ids follow ``id_key`` order; either way ``topology.nodes`` is
+    the original-label table (dense id -> label) and ``topology.index``
+    its inverse, so results report the caller's labels.
     """
-    if np is None or graph.number_of_nodes() == 0:
-        return False
-    return all(
-        isinstance(v, int) and not isinstance(v, bool) and 0 <= v < _MAX_ID
-        for v in graph.nodes()
+    if graph.number_of_nodes() == 0:
+        raise GraphInputError("the graph must have at least one node")
+    if all(_is_dense_id(v) for v in graph):
+        return compile_topology(graph)
+    return CompiledTopology(graph, key=id_key)
+
+
+def cv_seeds(labels: Sequence[Any]) -> List[int]:
+    """Initial Cole-Vishkin colors for part roots with these *labels*.
+
+    The default of :func:`~repro.partition.coloring.cole_vishkin_emulated`,
+    evaluated over the *current* roots: the ids themselves when all of
+    them are non-negative ints (the CONGEST assumption), otherwise each
+    root's rank in ``repr`` order.  A mixed-label graph can switch from
+    ranks to ids once its last non-int root is absorbed.
+    """
+    if all(isinstance(v, int) and v >= 0 for v in labels):
+        return list(labels)
+    order = sorted(range(len(labels)), key=lambda i: repr(labels[i]))
+    seeds = [0] * len(labels)
+    for rank, i in enumerate(order):
+        seeds[i] = rank
+    return seeds
+
+
+def cole_vishkin_seeded(
+    parent: "np.ndarray",
+    root_labels: Sequence[Any],
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+    height: int = 0,
+) -> Tuple["np.ndarray", int]:
+    """Cole-Vishkin on a compact pseudoforest, seeded by :func:`cv_seeds`.
+
+    Seeds that fit the int64 bit tricks run vectorized
+    (:func:`cole_vishkin_dense`); ids of ``2**62`` and above run the
+    same update rules on Python ints through
+    :func:`~repro.partition.coloring.cole_vishkin_emulated` (the rules
+    are per-node and simultaneous, so keying by compact index gives the
+    same colors).
+    """
+    seeds = cv_seeds(root_labels)
+    if max(seeds, default=0) < _MAX_ID:
+        return cole_vishkin_dense(
+            parent,
+            np.asarray(seeds, dtype=np.int64),
+            ledger=ledger,
+            cost_model=cost_model,
+            height=height,
+        )
+    parents = {
+        c: (p if p >= 0 else None) for c, p in enumerate(parent.tolist())
+    }
+    colors, rounds = cole_vishkin_emulated(
+        parents,
+        initial_colors=dict(enumerate(seeds)),
+        ledger=ledger,
+        cost_model=cost_model,
+        height=height,
     )
+    return np.asarray([colors[c] for c in range(len(seeds))], dtype=np.int64), rounds
 
 
 class DenseAuxiliaryGraph:
@@ -81,8 +142,9 @@ class DenseAuxiliaryGraph:
 
     Dict adjacency in the :class:`~repro.partition.auxiliary.AuxiliaryGraph`
     interface (part ids = dense root indices) is materialized lazily for
-    consumers that need per-node maps (the randomized engine's weighted
-    selection); the deterministic engine's sweeps never touch it.
+    consumers that need per-node maps (the dict-keyed emulations the
+    differential tests run on it); the engine's own sweeps never touch
+    it.
 
     Attributes:
         pids: compact index -> root dense index.
@@ -162,20 +224,6 @@ class DenseAuxiliaryGraph:
     def compact_count(self) -> int:
         """Number of auxiliary nodes (compact index range)."""
         return len(self.pids)
-
-    def connector_compact(self, child: int, center: int) -> Tuple[int, int]:
-        """Designated connector for compact pair, oriented child->center."""
-        pa, pb = self.pids[child], self.pids[center]
-        if pa <= pb:
-            key = pa * self._n + pb
-            flip = False
-        else:
-            key = pb * self._n + pa
-            flip = True
-        pos = int(np.searchsorted(self._pair_keys, key))
-        u = int(self.conn_u[pos])
-        v = int(self.conn_v[pos])
-        return (v, u) if flip else (u, v)
 
     # -- AuxiliaryGraph query interface (dict view, lazy) ---------------------
 
@@ -306,7 +354,7 @@ def forest_decomposition_dense(
 def orient_and_select_dense(
     aux: DenseAuxiliaryGraph, inactive_round: "np.ndarray"
 ) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Fused array port of ``_orient`` + ``select_heaviest_out_edges``.
+    """Fused array port of ``_orient`` + the seed's heaviest-out-edge pick.
 
     Orients every aux edge by deactivation time (never-deactivated
     endpoints lose; ties by id order), then picks each compact node's
@@ -349,13 +397,14 @@ def weighted_selection_dense(
     """Vectorized Theorem 4 weighted-edge selection on the aux arrays.
 
     Array port of
-    :func:`repro.partition.weighted_selection.weighted_edge_selection`
-    that never materializes the lazy dict adjacency and replaces the
-    per-draw ``rng.choices`` (which rebuilds its cumulative-weight list
-    on *every* trial, ``O(trials * degree)`` Python work per part) with
-    one CSR sweep plus a batched ``searchsorted``.
+    :func:`repro.partition._differential.weighted_edge_selection`
+    (the seed dict selection) that never materializes the lazy dict
+    adjacency and replaces the per-draw ``rng.choices`` (which
+    rebuilds its cumulative-weight list on *every* trial,
+    ``O(trials * degree)`` Python work per part) with one CSR sweep
+    plus a batched ``searchsorted``.
 
-    **The RNG stream is consumed identically**: the legacy path draws
+    **The RNG stream is consumed identically**: the seed loop draws
     one ``rng.random()`` per (part, trial) in ascending part order --
     compact order equals root-id order, so pre-drawing the same count
     in row-major order yields the exact floats.  Each draw then
@@ -370,13 +419,13 @@ def weighted_selection_dense(
     sequential loop computes.
 
     Returns ``(out_edge, weights)`` keyed by part roots (dense ids), in
-    ascending-root insertion order, exactly like the legacy function.
+    ascending-root insertion order, exactly like the seed function.
     """
     pids = aux.pids
     k = aux.compact_count
     ea, eb, w = aux.ea, aux.eb, aux.weights
     # Symmetric CSR over compact indices, neighbors ascending (= id_key
-    # order of the roots, the legacy iteration order).
+    # order of the roots, the seed iteration order).
     src = np.concatenate((ea, eb))
     dst = np.concatenate((eb, ea))
     ww = np.concatenate((w, w))
@@ -443,7 +492,7 @@ def weighted_selection_dense(
             drawn[pid] = pids[pick[0]]
             weight_of[pid] = pick[1]
 
-    # Resolve double selections exactly as the legacy path: the edge
+    # Resolve double selections exactly as the seed loop: the edge
     # becomes the out-edge of the smaller id; the larger endpoint is
     # left without an out-edge.
     out_edge: Dict[int, Optional[int]] = dict(drawn)
@@ -472,8 +521,8 @@ def cole_vishkin_dense(
     Array port of :func:`repro.partition.coloring.cole_vishkin_emulated`
     for the deterministic dense engine: *parent* holds compact parent
     indices (-1 at roots) and *init_colors* the distinct non-negative
-    initial colors (the original part-root ids, matching the legacy
-    id-seeded start).  Every phase applies the exact update rules of
+    initial colors (:func:`cv_seeds` of the part roots, matching the
+    seed's start).  Every phase applies the exact update rules of
     ``_apply_phase`` -- the shared :func:`cv_schedule` drives both -- so
     the final coloring is identical; the same ledger charge is recorded.
     """
@@ -539,8 +588,8 @@ def mark_and_choose_dense(
     abstains): *parent* is the selected out-edge per compact node (-1 if
     none), *weight* the weight of that edge, *colors* a proper
     {0,1,2}-coloring.  The returned :class:`MarkingResult` carries
-    compact indices; edge-list order is unspecified (legacy sorts by
-    ``repr``) but the edge *sets*, tree heights and weights are
+    compact indices; edge-list order is unspecified (the seed sorts
+    by ``repr``) but the edge *sets*, tree heights and weights are
     identical.
     """
     k = len(parent)
@@ -645,6 +694,8 @@ class DensePartitionState:
 
     Attributes:
         topology: the compiled topology (dense ids, CSR, edge arrays).
+        labels: the original-label table, dense index -> node label
+            (``topology.nodes``; see :func:`dense_topology`).
         part_of: numpy vector mapping dense index -> root dense index.
         parent: spanning-tree parent per dense index (-1 at roots).
         tree_adj: adjacency lists of the spanning forest; merges only
@@ -656,6 +707,7 @@ class DensePartitionState:
     def __init__(self, topology: CompiledTopology):
         n = topology.n
         self.topology = topology
+        self.labels = topology.nodes
         self.eu, self.ev = topology.edge_arrays()
         self.part_of = np.arange(n, dtype=np.int64)
         self.parent = [-1] * n
@@ -693,12 +745,13 @@ class DensePartitionState:
     ) -> None:
         """Contract star edges (child root -> center root) in place.
 
-        Mirrors :func:`repro.partition.stage1.merge_parts`: each child's
+        Mirrors the seed ``merge_parts``
+        (:mod:`repro.partition._differential`): each child's
         tree is glued to its center through the designated connector and
         the merged part is re-rooted at the center by BFS over the
         spanning forest.  Parent pointers and heights of a tree are
         unique regardless of traversal order, so the recomputed tables
-        match the legacy ``build_part`` exactly.
+        match the seed's ``build_part`` exactly.
         """
         star_children: Dict[int, List[int]] = {}
         absorbed = set()
@@ -757,8 +810,8 @@ class DensePartitionState:
                 del self.heights[child]
 
     def to_partition(self, graph: nx.Graph) -> Partition:
-        """Materialize the dense state as a legacy :class:`Partition`."""
-        ids = self.topology.nodes
+        """Materialize the dense state as a :class:`Partition` (original labels)."""
+        ids = self.labels
         parent = self.parent
         members: Dict[int, List[int]] = {root: [] for root in self.heights}
         for idx, root in enumerate(self.part_of.tolist()):

@@ -46,7 +46,6 @@ def _run_partition_phase_audit(spec: JobSpec, graph: nx.Graph) -> Record:
         graph,
         epsilon=params.get("epsilon", 0.1),
         alpha=params.get("alpha", 3),
-        engine=params.get("engine"),
     )
     phases = [
         [stats.phase, stats.max_height_after, stats.parts_after]
@@ -93,7 +92,6 @@ def _run_application_audit(spec: JobSpec, graph: nx.Graph) -> Record:
         epsilon=epsilon,
         method=method,
         seed=spec.seed,
-        engine=params.get("engine"),
     )
     return {
         "property": prop,
@@ -112,24 +110,19 @@ def _run_application_audit(spec: JobSpec, graph: nx.Graph) -> Record:
 def _run_spanner_baseline(spec: JobSpec, graph: nx.Graph) -> Record:
     """One baseline spanner trial (MPX cluster or sequential greedy).
 
-    Under the dense engine the graph's compiled topology (memoized per
-    graph object, so one compilation per sweep cell) is handed to the
-    baseline, which returns its spanner as flat edge arrays -- the
-    vectorized stretch measurement then never re-converts either graph.
+    The graph's compiled topology (memoized per graph object, so one
+    compilation per sweep cell) is handed to the baseline, which returns
+    its spanner as flat edge arrays -- the vectorized stretch
+    measurement then never re-converts either graph.
     """
     from ..applications.spanner import measure_stretch
-    from ..partition.stage1 import resolve_engine
+    from ..partition.dense import dense_topology
 
     params = spec.params
     method = params.get("method", "mpx")
     sample_nodes = params.get("sample_nodes", 8)
     n = graph.number_of_nodes()
-    engine = params.get("engine")
-    topology = None
-    if resolve_engine(engine, graph) == "dense":
-        from ..congest.topology import compile_topology
-
-        topology = compile_topology(graph)
+    topology = dense_topology(graph)
     if method == "mpx":
         from ..baselines import cluster_spanner
 
@@ -153,14 +146,9 @@ def _run_spanner_baseline(spec: JobSpec, graph: nx.Graph) -> Record:
     else:
         raise ValueError(f"unknown baseline method {method!r}")
     stretch = measure_stretch(
-        graph, spanner, sample_nodes=sample_nodes, seed=spec.seed,
-        engine=engine,
+        graph, spanner, sample_nodes=sample_nodes, seed=spec.seed
     )
-    edges = (
-        spanner.edge_count
-        if topology is not None
-        else spanner.number_of_edges()
-    )
+    edges = spanner.edge_count
     return {
         "method": method,
         "parameter": parameter,

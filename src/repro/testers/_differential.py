@@ -818,21 +818,21 @@ def stage2_over_partition(graph, partition, stage2_config, seed=None, native=Tru
     return verdicts, rejecting, max_part_rounds
 
 
-def test_planarity(graph, seed=None, config=None, native=True):
+def test_planarity(graph, seed=None, config=None, native=True, stage1=partition_stage1):
     """The Theorem 1 tester with the seed Stage II.
 
-    Stage I runs as configured (``config.engine``); Stage II runs the
-    seed pipeline selected by *native*.
+    Stage I runs *stage1* -- the shipped partition by default, or the
+    seed dict engine ``repro.partition._differential.partition_stage1``;
+    Stage II runs the seed pipeline selected by *native*.
     """
     config = config or PlanarityTestConfig()
-    stage1 = partition_stage1(
+    stage1 = stage1(
         graph,
         epsilon=config.epsilon,
         alpha=config.alpha,
         max_phases=config.max_phases,
         early_stop=config.early_stop,
         charge_full_budget=config.charge_full_budget,
-        engine=config.engine,
     )
     if not stage1.success:
         return PlanarityTestResult(

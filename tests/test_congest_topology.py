@@ -117,6 +117,27 @@ class TestCompileMemo:
         with pytest.raises(GraphInputError):
             CongestNetwork()
 
+    def test_compiled_graph_is_freed(self):
+        """The memo's value must not keep its own key alive."""
+        import gc
+        import weakref
+
+        from repro.congest.topology import _memo
+
+        graph = nx.path_graph(6)
+        topo = compile_topology(graph)
+        assert topo.graph is graph
+        ref = weakref.ref(graph)
+        gc.collect()
+        size = len(_memo)
+        del graph
+        gc.collect()
+        assert ref() is None
+        assert len(_memo) == size - 1
+        assert topo.graph is None
+        with pytest.raises(GraphInputError, match="freed"):
+            CongestNetwork(topology=topo)
+
 
 class TestRuntimeTopologyReuse:
     def _trial_specs(self, trials):

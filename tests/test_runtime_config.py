@@ -24,7 +24,6 @@ class TestResolvePrecedence:
         assert RunConfig().resolve("sim_batch_waste") == 4.0
         assert RunConfig().resolve("sim_xp") == "numpy"
         assert RunConfig().resolve("store_format") == "rbin"
-        assert RunConfig().resolve("partition_engine") == "auto"
         assert RunConfig().resolve("cache_coord_keys") is True
 
     def test_env_beats_default(self, monkeypatch):
@@ -54,15 +53,21 @@ class TestResolvePrecedence:
 
     def test_resolved_and_overrides(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        config = RunConfig(sim_batch=4, partition_engine="dense")
+        config = RunConfig(sim_batch=4, sim_xp="torch")
         assert config.overrides() == {
             "sim_batch": 4,
-            "partition_engine": "dense",
+            "sim_xp": "torch",
         }
         effective = config.resolved()
         assert effective["sim_batch"] == 4
-        assert effective["partition_engine"] == "dense"
+        assert effective["sim_xp"] == "torch"
         assert effective["sim_batch_waste"] == 4.0  # default fills gaps
+
+    def test_no_partition_engine_knob(self):
+        # One partition engine: there is nothing left to configure.
+        assert "partition_engine" not in RunConfig().resolved()
+        with pytest.raises(TypeError):
+            RunConfig(partition_engine="dense")
 
     def test_env_var_lookup(self):
         assert RunConfig.env_var("sim_batch") == "REPRO_SIM_BATCH"

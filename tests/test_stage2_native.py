@@ -4,7 +4,8 @@ The shipped Stage II extracts each part onto int ids, embeds it with the
 int LR core, labels it on int lists and resolves samples against the
 vectorized violating mask.  The seed pipeline lives on as the oracle in
 ``repro.testers._differential``: ``native=False`` is the seed view path
-(networkx subgraph views, dict LR, pairwise scan, legacy partition) and
+(networkx subgraph views, dict LR, pairwise scan, and -- via
+``repro.partition._differential`` -- the seed dict partition) and
 ``native=True`` the dict-copy extraction with the Fenwick mask.  These
 tests assert identical per-part verdicts, reasons, sampled counts,
 round charges, sampler outcomes (witnesses included), RNG draws and
@@ -19,6 +20,7 @@ import random
 import networkx as nx
 import pytest
 
+import repro.partition._differential as seed_partition
 import repro.testers._differential as oracle
 import repro.testers.stage2 as stage2
 from repro.graphs import make_far, make_planar
@@ -31,7 +33,7 @@ from repro.testers.planarity import test_planarity as run_planarity
 from repro.testers.stage2 import Stage2Config, extract_part_subgraphs
 from repro.testers.violations import sample_and_detect
 
-SEED_ENGINE = dict(engine="legacy")
+SEED_STAGE1 = dict(stage1=seed_partition.partition_stage1)
 
 
 def _canonical(result):
@@ -83,8 +85,9 @@ class TestTesterDifferential:
             legacy = oracle.test_planarity(
                 graph,
                 seed=seed,
-                config=PlanarityTestConfig(epsilon=0.1, **SEED_ENGINE),
+                config=PlanarityTestConfig(epsilon=0.1),
                 native=False,
+                **SEED_STAGE1,
             )
             assert _canonical(shipped) == _canonical(legacy), (family, seed)
 
@@ -99,8 +102,9 @@ class TestTesterDifferential:
             legacy = oracle.test_planarity(
                 graph,
                 seed=seed,
-                config=PlanarityTestConfig(epsilon=epsilon, **SEED_ENGINE),
+                config=PlanarityTestConfig(epsilon=epsilon),
                 native=False,
+                **SEED_STAGE1,
             )
             assert _canonical(shipped) == _canonical(legacy), (far, seed)
 

@@ -17,6 +17,15 @@ kept):
 * ``labels/...``: whole-graph corner intervals and the sampler's
   outcomes, witnesses included.
 
+``LABEL_GOLDEN`` pins the partition's label boundary: for str, tuple,
+negative-int, mixed int/str and shuffled-insertion labellings of every
+bundled family (n=200, seeds 0-2), one digest per output kind over all
+instances -- tester verdicts, Stage I partitions with phase stats and
+ledger, the randomized partition under both colorings, spanner edge
+sets, stretch (networkx and dense spanner inputs) and the Corollary 16
+verdicts.  These were computed with the seed dict engine, which ran
+every non-int input before the engine switch was removed.
+
 A failure here means a tester output changed.  Every record and every
 benchmark baseline derived from a tester run changes with it; if that
 is intended, say so in the change log and update the digests below.
@@ -30,9 +39,16 @@ import random
 
 import pytest
 
+from _labellings import LABELLINGS
+from repro.applications import build_spanner, measure_stretch
 from repro.baselines import mpx_partition
 from repro.graphs import FAR_FAMILIES, PLANAR_FAMILIES, make_far, make_planar
+from repro.partition import partition_randomized, partition_stage1
 from repro.planarity import check_planarity, identity_rotation
+from repro.testers.applications import (
+    test_bipartiteness as run_bipartiteness,
+    test_cycle_freeness as run_cycle_freeness,
+)
 from repro.testers.labels import (
     corner_intervals,
     deterministic_bfs_tree,
@@ -330,6 +346,171 @@ def test_digests_see_rotation_starts(monkeypatch):
         assert digest(key) != GOLDEN[key], key
 
 
-if __name__ == "__main__":  # print the table above from the current code
+# -- label boundary ------------------------------------------------------------
+
+LABEL_GOLDEN = {
+    "str/tester": "5c3ba77ceae223bc5fbd672456722d84",
+    "str/stage1": "16cd1e7f813ae87cc0c07b57d1c29c3f",
+    "str/randomized-cv": "8882df98420ca1be0e4cc5e3001aab6f",
+    "str/randomized-rc": "25cfa0987b018eff6f6332bdd0ce6255",
+    "str/spanner": "56dc5e4a4fc8006570eac4916deafea6",
+    "str/stretch": "f27c814481ed08f64640a90143441597",
+    "str/cor16": "96818342ea0e533c63bd645e3808d917",
+    "tuple/tester": "4048289bcb31d5a6b892890ab683bcef",
+    "tuple/stage1": "99f9cc2b441713a9a1558c0b8a7d9614",
+    "tuple/randomized-cv": "8e332acd64f3455fc9e61255e8effcf7",
+    "tuple/randomized-rc": "fb9b237ee9346017cc8678b2b38fcc6d",
+    "tuple/spanner": "0035037a61b49613ba620fe3e9fa96c0",
+    "tuple/stretch": "6772698301f2954b3431408c9a1e3b9d",
+    "tuple/cor16": "cce1826f6268fbb03a39252628405437",
+    "negint/tester": "5e40afa55811f8223461e3a11730778e",
+    "negint/stage1": "01761a2b8daf7d50ef033dccae66d270",
+    "negint/randomized-cv": "1d53e0b729768756cf8748f614103a23",
+    "negint/randomized-rc": "76f7b0b26d78fe43cd5531e8373ba99b",
+    "negint/spanner": "aa19d55ce5a27f5fadf465dc805763c2",
+    "negint/stretch": "c8e23fe26bcd61bd175ea14ada6f300e",
+    "negint/cor16": "dde2257d57632868486f0af80dff76aa",
+    "mixed/tester": "2aeb69efcdf1f0689ea87cd1f5477588",
+    "mixed/stage1": "35cb61fb34865eb70ae2d39adef357a3",
+    "mixed/randomized-cv": "33955dce85d88b306af04bf629dbb239",
+    "mixed/randomized-rc": "b63ae9a97c02763b70d7dd76438c1dc3",
+    "mixed/spanner": "11a5bf603a7f2693eab88453e1ea1dcc",
+    "mixed/stretch": "bf5056dfb60f49a0b65b885f8c9bc217",
+    "mixed/cor16": "6ae00626f37c8ef11b3ba319b3b3ca7f",
+    "shuffled/tester": "01ab90a470dae8cf1c843cb0abb38af6",
+    "shuffled/stage1": "dc47500218a7861d38c99c8c7964f714",
+    "shuffled/randomized-cv": "1b51fe06886b53bc5b1955b692881791",
+    "shuffled/randomized-rc": "828d6ef2b32b27abf8d3a480308e788d",
+    "shuffled/spanner": "51f0ac96eaf0baca33e465d6848fdb19",
+    "shuffled/stretch": "491632f76666f003ff95ee3a3f2ce3e9",
+    "shuffled/cor16": "dd70fc5dd57d107a6cce43e90ba60ab8",
+}
+
+LABEL_WHATS = (
+    "tester", "stage1", "randomized-cv", "randomized-rc", "spanner",
+    "stretch", "cor16",
+)
+
+
+def _label_instances(labelling):
+    relabel = LABELLINGS[labelling]
+    for seed in (0, 1, 2):
+        for family in sorted(PLANAR_FAMILIES):
+            yield family, seed, relabel(make_planar(family, 200, seed=seed), seed)
+        for family in sorted(FAR_FAMILIES):
+            graph, _certified = make_far(family, 200, seed=seed)
+            yield family, seed, relabel(graph, seed)
+
+
+def _stage1_canonical(result):
+    parts = sorted(
+        (
+            repr(part.root),
+            sorted(map(repr, part.nodes)),
+            sorted((repr(c), repr(p)) for c, p in part.parents.items()),
+            part.height,
+        )
+        for part in result.partition.parts.values()
+    )
+    return (
+        parts,
+        result.success,
+        [repr(pid) for pid in result.rejecting_parts],
+        [sorted(vars(stats).items()) for stats in result.phases],
+        [(r.rounds, r.category, r.note) for r in result.ledger.records],
+        result.rounds,
+    )
+
+
+def _label_value(what, graph, seed):
+    if what == "tester":
+        result = run_planarity(
+            graph, seed=seed, config=PlanarityTestConfig(epsilon=0.1)
+        )
+        return (
+            result.accepted,
+            result.rejected_stage,
+            [repr(pid) for pid in result.rejecting_parts],
+            result.stage1_rounds,
+            result.stage2_rounds,
+            [
+                (repr(v.pid), v.accepted, v.reason, v.n, v.m, v.sampled, v.rounds)
+                for v in result.part_verdicts or []
+            ],
+        )
+    if what == "stage1":
+        return _stage1_canonical(partition_stage1(graph, epsilon=0.1))
+    if what in ("randomized-cv", "randomized-rc"):
+        coloring = "cole-vishkin" if what == "randomized-cv" else "randomized"
+        result = partition_randomized(
+            graph, epsilon=0.2, delta=0.1, seed=seed, coloring=coloring
+        )
+        return _stage1_canonical(result), result.trials
+    if what == "spanner":
+        out = []
+        for method in ("deterministic", "randomized"):
+            result = build_spanner(graph, epsilon=0.1, method=method, seed=seed)
+            edges = sorted(sorted(map(repr, e)) for e in result.spanner.edges())
+            out.append(
+                (
+                    edges,
+                    result.tree_edges,
+                    result.connector_edges,
+                    result.guaranteed_stretch,
+                    result.rounds,
+                )
+            )
+        return out
+    if what == "stretch":
+        result = build_spanner(graph, epsilon=0.1, seed=seed)
+        return [
+            measure_stretch(graph, spanner, sample_nodes=8, seed=seed)
+            for spanner in (result.spanner, result.dense)
+        ]
+    if what == "cor16":
+        out = []
+        for runner in (run_cycle_freeness, run_bipartiteness):
+            for method in ("deterministic", "randomized"):
+                result = runner(graph, epsilon=0.1, method=method, seed=seed)
+                out.append(
+                    (
+                        result.accepted,
+                        [repr(pid) for pid in result.rejecting_parts],
+                        result.partition_rounds,
+                        result.verification_rounds,
+                    )
+                )
+        return out
+    raise KeyError(what)
+
+
+def label_digests(labelling):
+    hashes = {what: hashlib.sha256() for what in LABEL_WHATS}
+    for family, seed, graph in _label_instances(labelling):
+        for what in LABEL_WHATS:
+            value = _label_value(what, graph, seed)
+            payload = json.dumps([family, seed, value], separators=(",", ":"))
+            hashes[what].update(payload.encode())
+    return {what: h.hexdigest()[:32] for what, h in hashes.items()}
+
+
+def test_label_golden_covers_every_key():
+    assert sorted(LABEL_GOLDEN) == sorted(
+        f"{labelling}/{what}" for labelling in LABELLINGS for what in LABEL_WHATS
+    )
+
+
+@pytest.mark.parametrize("labelling", sorted(LABELLINGS))
+def test_label_boundary_digests(labelling):
+    got = label_digests(labelling)
+    for what in LABEL_WHATS:
+        key = f"{labelling}/{what}"
+        assert got[what] == LABEL_GOLDEN[key], key
+
+
+if __name__ == "__main__":  # print the tables above from the current code
     for key in _keys():
         print(f'    "{key}": "{digest(key)}",')
+    for labelling in LABELLINGS:
+        for what, value in label_digests(labelling).items():
+            print(f'    "{labelling}/{what}": "{value}",')
